@@ -10,6 +10,7 @@ import json
 
 from bincyclic import (
     assemble,
+    audit_as_dict,
     build_sqrt_complement,
     describe,
     run_fixture,
@@ -35,7 +36,7 @@ def main():
     payload = {
         "schema": 1,
         "code": describe(z, generator=assemble(z).generator).as_dict(),
-        "audit": audit.as_dict(),
+        "audit": audit_as_dict(audit),
     }
     print("\nexport payload for the m=5 block construction:")
     print(json.dumps(payload, indent=2)[:400], "...")

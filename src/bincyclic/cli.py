@@ -29,15 +29,7 @@ from .codecore import (
     assemble,
     describe,
 )
-from .constructions import (
-    DefiningSet,
-    SelectionError,
-    build_even_m,
-    build_odd_pq,
-    build_sqrt_complement,
-    build_two_prime,
-    build_weight_class,
-)
+from .constructions import FAMILIES, DefiningSet, SelectionError, audit_as_dict, build_family
 from .cosets import build_table
 from .distance import (
     BudgetExceeded,
@@ -47,7 +39,7 @@ from .distance import (
     low_weight_search,
 )
 from .fixtures import run_fixture, select_fixtures
-from .gf2 import poly_to_bitstring, poly_to_hex
+from .gf2 import MAX_FIELD_DEGREE, poly_to_bitstring, poly_to_hex
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -103,32 +95,19 @@ def _build_parser() -> _Parser:
 
 def _add_family_args(parser: _Parser, extras=()) -> None:
     fam = parser.add_subparsers(dest="family", metavar="family", required=True)
-
-    f = fam.add_parser("even-m", help="even-m split (two codes; pick one with --which)")
-    f.add_argument("--m", type=int, required=True)
-    f.add_argument("--which", choices=("C1", "C2"), required=True)
-    f.add_argument("--swap-pairs", action="store_true",
-                   help="route each complement pair to the opposite side")
-
-    f = fam.add_parser("two-prime", help="m = 2p for odd prime p; 0 joins the set")
-    f.add_argument("--p", type=int, required=True)
-
-    f = fam.add_parser("odd-pq", help="m = p1*p2, distinct odd primes")
-    f.add_argument("--p1", type=int, required=True)
-    f.add_argument("--p2", type=int, required=True)
-
-    f = fam.add_parser("sqrt", help="odd m block construction")
-    f.add_argument("--m", type=int, required=True)
-    f.add_argument("--choose", metavar="L1,L2,...",
-                   help="comma-separated residual-pair representatives")
-
-    f = fam.add_parser("weight-class", help="odd m >= 9 weight-parity construction")
-    f.add_argument("--m", type=int, required=True)
-    f.add_argument("--i", type=int, choices=(0, 1), required=True)
-
-    for family_parser in fam.choices.values():
+    for name, family in FAMILIES.items():
+        f = fam.add_parser(name, help=family.help)
+        for p in family.params:
+            flag = p.flag or "--" + p.name.replace("_", "-")
+            if p.type is bool:
+                f.add_argument(flag, dest=p.name, action="store_true", help=p.help)
+            else:
+                f.add_argument(flag, dest=p.name, type=p.type, choices=p.choices,
+                               metavar=p.metavar, required=p.required, help=p.help)
+        if len(family.labels) > 1:
+            f.add_argument("--which", choices=family.labels, required=True)
         for extra in extras:
-            extra(family_parser)
+            extra(f)
 
 
 def _add_engine_args(parser: _Parser, default_engine: str = "auto") -> None:
@@ -155,21 +134,10 @@ def _add_output_args(parser: _Parser, elements_only: bool = True) -> None:
 
 
 def _construct(args) -> tuple[DefiningSet, object]:
-    if args.family == "even-m":
-        z1, z2, audit = build_even_m(args.m, swap_pairs=args.swap_pairs)
-        return (z1 if args.which == "C1" else z2), audit
-    if args.family == "two-prime":
-        return build_two_prime(args.p)
-    if args.family == "odd-pq":
-        return build_odd_pq(args.p1, args.p2)
-    if args.family == "sqrt":
-        overrides = None
-        if args.choose:
-            overrides = tuple(int(x) for x in args.choose.split(","))
-        return build_sqrt_complement(args.m, overrides=overrides)
-    if args.family == "weight-class":
-        return build_weight_class(args.m, args.i)
-    raise UsageError(f"unknown family {args.family!r}")
+    family = FAMILIES[args.family]
+    params = {p.name: getattr(args, p.name) for p in family.params}
+    sets, audit = build_family(args.family, **params)
+    return dict(sets)[getattr(args, "which", family.labels[0])], audit
 
 
 def _poly_str(poly: Optional[int], use_hex: bool) -> str:
@@ -259,13 +227,15 @@ def _cmd_construct(args) -> int:
         return EXIT_OK
     report = describe(zset)
     if args.json:
-        _emit_json({"schema": 1, "code": report.as_dict(), "audit": audit.as_dict()})
+        _emit_json({"schema": 1, "code": report.as_dict(), "audit": audit_as_dict(audit)})
         return EXIT_OK
     _print_report(report, args.hex)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
+    if not 2 <= args.m <= MAX_FIELD_DEGREE:
+        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {args.m}")
     elements = _read_elements(args.elements)
     n = 2**args.m - 1
     zset = DefiningSet.from_elements(n, elements)
@@ -346,7 +316,7 @@ def _cmd_export(args) -> int:
         code = assemble(zset)
         payload["code"] = describe(zset, generator=code.generator).as_dict()
         payload["distance"] = _run_distance(code, args).as_dict()
-    payload["audit"] = audit.as_dict()
+    payload["audit"] = audit_as_dict(audit)
     _emit_json(payload, args.output)
     return EXIT_OK
 

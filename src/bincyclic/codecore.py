@@ -241,7 +241,7 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> CodeRepor
         n=n,
         m=m,
         construction=dict(zset.origin),
-        defining_set=tuple(int(x) for x in zset.elements),
+        defining_set=tuple(zset.elements.tolist()),
         dimension=n - len(zset),
         generator=generator,
         bch_lower_bound=delta,

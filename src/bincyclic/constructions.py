@@ -1,11 +1,11 @@
-"""Defining-set builders for four families of binary cyclic codes.
+"""Defining-set builders for five families of binary cyclic codes.
 
 Every builder returns a validated :class:`DefiningSet` (doubling-closed,
 guaranteed size) plus an audit record carrying the intermediate sets and
 every selection decision, so the set-theoretic identities the guarantees
 rest on can be re-checked from the outside.
 
-The four families, all of length n = 2^m - 1 and dimension within one of
+The five families, all of length n = 2^m - 1 and dimension within one of
 n/2:
 
 * ``build_even_m`` -- even m: split F_2^m by Hamming weight around m/2,
@@ -20,16 +20,21 @@ n/2:
   sqrt(n), plus one coset from each complementary residual pair.
 * ``build_weight_class`` -- odd m >= 9: a low-leader block joined with a
   weight-parity class, corrected by four explicit cosets.
+
+``FAMILIES`` at the bottom is the one table from family name to builder,
+code labels and parameters; the command line and the fixtures dispatch
+through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from typing import Callable, ClassVar, Mapping, Union
 
 import numpy as np
 
-from .cosets import CosetTable, build_table, classify_by_size, weight_classes
+from .cosets import CosetTable, _is_prime, build_table, classify_by_size, weight_classes
 
 
 class SelectionError(ValueError):
@@ -77,7 +82,7 @@ class DefiningSet:
         return int(self.elements.size)
 
     def __iter__(self):
-        return iter(int(x) for x in self.elements)
+        return iter(self.elements.tolist())
 
     def __contains__(self, x: int) -> bool:
         idx = int(np.searchsorted(self.elements, x))
@@ -99,20 +104,38 @@ class DefiningSet:
         return out
 
     def as_set(self) -> set[int]:
-        return set(int(x) for x in self.elements)
+        return set(self.elements.tolist())
 
     def as_dict(self) -> dict:
         return {
             "n": self.n,
             "size": len(self),
             "origin": dict(self.origin),
-            "elements": [int(x) for x in self.elements],
+            "elements": self.elements.tolist(),
         }
 
 
 # ---------------------------------------------------------------------------
 # even m
 # ---------------------------------------------------------------------------
+
+
+def _complement_pairs(table: CosetTable, resid_mask: np.ndarray) -> list[tuple[int, int]]:
+    """``(ell, partner)`` for every coset C_ell met by ``resid_mask``, where
+    C_partner = -C_ell is its complement image; ascending, ell < partner.
+    Every partner must itself be met and differ from ell."""
+    n = table.n
+    resid_leaders = set(np.unique(table.leader_of[np.flatnonzero(resid_mask)]).tolist())
+    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for ell in sorted(resid_leaders):
+        if ell in seen:
+            continue
+        partner = int(table.leader_of[n - ell])
+        assert partner in resid_leaders and partner != ell, "complement pairing broke"
+        seen.update((ell, partner))
+        pairs.append((ell, partner))  # ell < partner by ascending scan
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -126,6 +149,8 @@ class EvenMAudit:
     leader) for each complement-paired coset of the leftover middle layer.
     """
 
+    tag: ClassVar[str] = "even-m"
+
     m: int
     t: int
     b_preimage: tuple[int, ...]
@@ -137,22 +162,6 @@ class EvenMAudit:
     s1_size: int
     s2_size: int
     swap_pairs: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "construction": "even-m",
-            "m": self.m,
-            "t": self.t,
-            "b_preimage": list(self.b_preimage),
-            "t_preimage": list(self.t_preimage),
-            "g_preimage": list(self.g_preimage),
-            "residual_pairs": [list(p) for p in self.residual_pairs],
-            "p1_preimage": list(self.p1_preimage),
-            "p2_preimage": list(self.p2_preimage),
-            "s1_size": self.s1_size,
-            "s2_size": self.s2_size,
-            "swap_pairs": self.swap_pairs,
-        }
 
 
 def build_even_m(m: int, *, swap_pairs: bool = False):
@@ -186,29 +195,20 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     # Pair residual cosets with their complement images; the larger leader
     # goes to the first half (matching the worked m=6 split), unless swapped.
     table = build_table(m)
-    resid_leaders = {int(v) for v in np.unique(table.leader_of[np.flatnonzero(resid_mask)])}
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for ell in sorted(resid_leaders):
-        if ell in seen:
-            continue
-        partner = int(table.leader_of[n - ell])
-        assert partner in resid_leaders and partner != ell, "complement pairing broke"
-        seen.update((ell, partner))
-        big, small = max(ell, partner), min(ell, partner)
-        pairs.append((small, big) if swap_pairs else (big, small))
+    pairs = [
+        (small, big) if swap_pairs else (big, small)
+        for small, big in _complement_pairs(table, resid_mask)
+    ]
 
-    p1_res = table.union_mask([a for a, _ in pairs]) if pairs else np.zeros(n, dtype=bool)
-    p2_res = table.union_mask([b for _, b in pairs]) if pairs else np.zeros(n, dtype=bool)
     p1_mask = np.zeros(size, dtype=bool)
     p2_mask = np.zeros(size, dtype=bool)
-    p1_mask[:n] = p1_res
-    p2_mask[:n] = p2_res
+    p1_mask[:n] = table.union_mask([a for a, _ in pairs])
+    p2_mask[:n] = table.union_mask([b for _, b in pairs])
     assert not (p1_mask & p2_mask).any()
     assert ((p1_mask | p2_mask) == resid_mask).all(), "pairs must tile the residual layer"
     p1_elems = np.flatnonzero(p1_mask)
     p2_elems = np.flatnonzero(p2_mask)
-    assert set(int(n - x) for x in p2_elems) == set(int(x) for x in p1_elems)
+    assert set((n - p2_elems).tolist()) == set(p1_elems.tolist())
 
     s1 = (w < t) | b_mask | t_mask | p1_mask
     s2 = ((w > t) & ~b_mask) | g_mask | p2_mask
@@ -228,12 +228,12 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     audit = EvenMAudit(
         m=m,
         t=t,
-        b_preimage=tuple(int(x) for x in np.flatnonzero(b_mask)),
-        t_preimage=tuple(int(x) for x in np.flatnonzero(t_mask)),
-        g_preimage=tuple(int(x) for x in np.flatnonzero(g_mask)),
+        b_preimage=tuple(np.flatnonzero(b_mask).tolist()),
+        t_preimage=tuple(np.flatnonzero(t_mask).tolist()),
+        g_preimage=tuple(np.flatnonzero(g_mask).tolist()),
         residual_pairs=tuple(pairs),
-        p1_preimage=tuple(int(x) for x in p1_elems),
-        p2_preimage=tuple(int(x) for x in p2_elems),
+        p1_preimage=tuple(p1_elems.tolist()),
+        p2_preimage=tuple(p2_elems.tolist()),
         s1_size=int(s1.sum()),
         s2_size=int(s2.sum()),
         swap_pairs=swap_pairs,
@@ -253,38 +253,77 @@ def _exact_div(a: int, b: int, what: str) -> int:
     return q
 
 
-def _covering_prefix(table: CosetTable, full_leaders: Sequence[int], d0_max: int):
-    """Leaders of the full-size cosets meeting {1..d0_max}, and the prefix
-    index sigma0 that covers them in ascending-leader order."""
-    met = np.unique(table.leader_of[1 : d0_max + 1])
+def _greedy_select(
+    table: CosetTable,
+    *,
+    full_leaders: tuple[int, ...],
+    secondary_leaders: tuple[int, ...],
+    base_leaders: tuple[int, ...],
+    d0_max: int,
+    sigma_lo: int,
+    tail_len: int,
+    direct_allotment: Callable[[int], int],
+):
+    """The greedy scheme of the m = 2p and m = p1*p2 builders.
+
+    sigma0 is the shortest ascending prefix of the full-size leaders that
+    holds every full-size coset meeting the run {1..d0_max}.  If sigma0
+    reaches the floor sigma_lo ("direct"), that prefix is taken with the
+    first ``direct_allotment(sigma0)`` secondary cosets.  Otherwise
+    ("extended") the prefix grows to sigma_lo in ascending order, skipping
+    the cosets that meet the dual tail {n - tail_len..n - 1}, and every
+    secondary coset joins.  The base cosets always join.
+
+    Returns ``(mask, chosen secondary leaders, trace)``; ``trace`` holds
+    the audit fields both builders share.
+    """
+    n = table.n
+    met = np.unique(table.leader_of[1 : d0_max + 1]).tolist()
     full_set = set(full_leaders)
-    f_leaders = tuple(int(v) for v in met if int(v) in full_set)
+    f_leaders = tuple(v for v in met if v in full_set)
     if not f_leaders:
         raise AssertionError("no full-size coset meets the run block")
-    sigma0 = list(full_leaders).index(max(f_leaders)) + 1
-    return f_leaders, sigma0
+    sigma0 = full_leaders.index(max(f_leaders)) + 1
+    tail_leaders = {int(table.leader_of[n - i]) for i in range(1, tail_len + 1)}
 
+    if sigma0 >= sigma_lo:
+        case = "direct"
+        sigma = sigma0
+        chosen_full = full_leaders[:sigma0]
+        n_secondary = direct_allotment(sigma0)
+        assert 0 <= n_secondary <= len(secondary_leaders)
+        chosen_secondary = secondary_leaders[:n_secondary]
+    else:
+        case = "extended"
+        sigma = sigma_lo
+        admissible = (ell for ell in full_leaders[sigma0:] if ell not in tail_leaders)
+        chosen_full = full_leaders[:sigma0] + tuple(islice(admissible, sigma_lo - sigma0))
+        if len(chosen_full) != sigma_lo:
+            raise AssertionError("ran out of admissible cosets during extension")
+        chosen_secondary = secondary_leaders
 
-def _extend_avoiding(
-    full_leaders: Sequence[int], start: int, target: int, forbidden: set[int]
-) -> list[int]:
-    """Take ascending leaders from index ``start`` until ``target`` are
-    chosen in total, skipping the forbidden ones."""
-    chosen = list(full_leaders[:start])
-    for ell in full_leaders[start:]:
-        if len(chosen) >= target:
-            break
-        if ell in forbidden:
-            continue
-        chosen.append(ell)
-    if len(chosen) != target:
-        raise AssertionError("ran out of admissible cosets during extension")
-    return chosen
+    mask = table.union_mask(base_leaders + chosen_full + chosen_secondary)
+    assert mask[1 : d0_max + 1].all(), "the guaranteed run must sit inside Z"
+    assert not mask[n - tail_len :].any(), "the dual tail must stay outside Z"
+    trace = {
+        "f_leaders": f_leaders,
+        "sigma0": sigma0,
+        "sigma_lo": sigma_lo,
+        "sigma": sigma,
+        "case": case,
+        "chosen_full_leaders": chosen_full,
+        "forbidden_leaders": tuple(sorted(tail_leaders)),
+        "tail_first": n - tail_len,
+        "tail_last": n - 1,
+    }
+    return mask, chosen_secondary, trace
 
 
 @dataclass(frozen=True)
 class TwoPrimeAudit:
     """Selection trace for the m = 2p builder."""
+
+    tag: ClassVar[str] = "two-prime"
 
     p: int
     m: int
@@ -300,13 +339,6 @@ class TwoPrimeAudit:
     tail_first: int
     tail_last: int
 
-    def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["construction"] = "two-prime"
-        for k in ("f_leaders", "chosen_full_leaders", "chosen_small_leaders", "forbidden_leaders"):
-            d[k] = list(d[k])
-        return d
-
 
 def build_two_prime(p: int):
     """Defining set for m = 2p, p an odd prime with 2p <= 24.
@@ -316,66 +348,40 @@ def build_two_prime(p: int):
     bound needs free.  Selection is deterministic: ascending leaders,
     forbidden ones skipped.  Returns ``(Z, audit)`` with |Z| = 2^(m-1) - 1.
     """
-    if p % 2 == 0 or not _is_odd_prime(p) or 2 * p > 24:
+    if p % 2 == 0 or not _is_prime(p) or 2 * p > 24:
         raise ValueError(f"need an odd prime p with 2p <= 24, got {p}")
     m = 2 * p
     n = (1 << m) - 1
     table = build_table(m)
     cls = classify_by_size(table, 2, p)
-    i_list = cls.size_p2_leaders  # size-p cosets
-    j_list = cls.size_full_leaders  # size-2p cosets
 
     m_main = _exact_div(2**m - 4, 2 * p, "run length, main term")
     m_extra = _exact_div(2**p - 2 * p - 2, 4 * p, "run length, correction term")
     d0_max = m_main + m_extra - 1
-
-    f_leaders, sigma0 = _covering_prefix(table, j_list, d0_max)
-    sigma_lo = _exact_div(2**m - 2 ** (p + 1), 4 * p, "selection floor")
     e = (2 * p).bit_length()  # floor(log2(2p)) + 1
-    tail_len = 2**e - 2
-    forbidden = tuple(sorted({int(table.leader_of[n - i]) for i in range(1, tail_len + 1)}))
-
-    if sigma0 >= sigma_lo:
-        case = "direct"
-        sigma = sigma0
-        chosen_full = list(j_list[:sigma0])
-        n_small = m_main - 2 * sigma0
-        assert 0 <= n_small <= len(i_list)
-        chosen_small = list(i_list[:n_small])
-    else:
-        case = "extended"
-        sigma = sigma_lo
-        chosen_full = _extend_avoiding(j_list, sigma0, sigma_lo, set(forbidden))
-        chosen_small = list(i_list)
-
-    mask = table.union_mask(chosen_full + chosen_small)
-    mask[0] = True
+    # Full cosets have size 2p, secondary ones size p; {0} always joins.
+    mask, chosen_small, trace = _greedy_select(
+        table,
+        full_leaders=cls.size_full_leaders,
+        secondary_leaders=cls.size_p2_leaders,
+        base_leaders=(0,),
+        d0_max=d0_max,
+        sigma_lo=_exact_div(2**m - 2 ** (p + 1), 4 * p, "selection floor"),
+        tail_len=2**e - 2,
+        direct_allotment=lambda sigma0: m_main - 2 * sigma0,
+    )
     z = DefiningSet.from_mask(n, mask, {"construction": "two-prime", "p": p, "m": m})
     assert len(z) == 2 ** (m - 1) - 1
-    assert mask[: d0_max + 1].all(), "the guaranteed run must sit inside Z"
-    assert not mask[n - tail_len :].any(), "the dual tail must stay outside Z"
 
-    audit = TwoPrimeAudit(
-        p=p,
-        m=m,
-        d0_max=d0_max,
-        f_leaders=f_leaders,
-        sigma0=sigma0,
-        sigma_lo=sigma_lo,
-        sigma=sigma,
-        case=case,
-        chosen_full_leaders=tuple(chosen_full),
-        chosen_small_leaders=tuple(chosen_small),
-        forbidden_leaders=forbidden,
-        tail_first=n - tail_len,
-        tail_last=n - 1,
-    )
+    audit = TwoPrimeAudit(p=p, m=m, d0_max=d0_max, chosen_small_leaders=chosen_small, **trace)
     return z, audit
 
 
 @dataclass(frozen=True)
 class OddPqAudit:
     """Selection trace for the m = p1*p2 builder."""
+
+    tag: ClassVar[str] = "odd-pq"
 
     p1: int
     p2: int
@@ -393,19 +399,6 @@ class OddPqAudit:
     tail_first: int
     tail_last: int
 
-    def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["construction"] = "odd-pq"
-        for k in (
-            "base_small_leaders",
-            "f_leaders",
-            "chosen_mid_leaders",
-            "chosen_full_leaders",
-            "forbidden_leaders",
-        ):
-            d[k] = list(d[k])
-        return d
-
 
 def build_odd_pq(p1: int, p2: int):
     """Defining set for m = p1*p2, odd primes p1 < p2, m <= 24.
@@ -413,7 +406,7 @@ def build_odd_pq(p1: int, p2: int):
     Mirror of :func:`build_two_prime` with three coset-size classes; 0 is
     NOT included.  Returns ``(Z, audit)`` with |Z| = 2^(m-1) - 1.
     """
-    if not (_is_odd_prime(p1) and _is_odd_prime(p2) and p1 < p2):
+    if not (p1 % 2 and p2 % 2 and _is_prime(p1) and _is_prime(p2) and p1 < p2):
         raise ValueError(f"need odd primes p1 < p2, got ({p1}, {p2})")
     m = p1 * p2
     if m > 24:
@@ -421,9 +414,6 @@ def build_odd_pq(p1: int, p2: int):
     n = (1 << m) - 1
     table = build_table(m)
     cls = classify_by_size(table, p1, p2)
-    i_list = cls.size_p1_leaders
-    j_list = cls.size_p2_leaders
-    k_list = cls.size_full_leaders
 
     d0_max = (
         (2**m - 1) // m
@@ -434,62 +424,35 @@ def build_odd_pq(p1: int, p2: int):
         - 1
     )
     base_small_count = _exact_div(2**p1 - 2, 2 * p1, "half the smallest size class")
-    base_small = list(i_list[:base_small_count])
-
-    f_leaders, sigma0 = _covering_prefix(table, k_list, d0_max)
-    sigma_lo = _exact_div(2**m - 2**p1 - 2 ** (p2 + 1) + 4, 2 * m, "selection floor")
+    base_small = cls.size_p1_leaders[:base_small_count]
+    mid_total = _exact_div(2**m - 2**p1, 2 * p2, "mid-size allotment")
     e = m.bit_length()  # floor(log2(m)) + 1 (m is never a power of two here)
-    tail_len = 2**e - 2
-    forbidden = tuple(sorted({int(table.leader_of[n - i]) for i in range(1, tail_len + 1)}))
-
-    if sigma0 >= sigma_lo:
-        case = "direct"
-        sigma = sigma0
-        chosen_full = list(k_list[:sigma0])
-        n_mid = _exact_div(2**m - 2**p1, 2 * p2, "mid-size allotment") - p1 * sigma0
-        assert 0 <= n_mid <= len(j_list)
-        chosen_mid = list(j_list[:n_mid])
-    else:
-        case = "extended"
-        sigma = sigma_lo
-        chosen_full = _extend_avoiding(k_list, sigma0, sigma_lo, set(forbidden))
-        chosen_mid = list(j_list)
-
-    mask = table.union_mask(base_small + chosen_mid + chosen_full)
+    # Full cosets have size m, secondary ones size p2; half of the size-p1
+    # cosets always join.
+    mask, chosen_mid, trace = _greedy_select(
+        table,
+        full_leaders=cls.size_full_leaders,
+        secondary_leaders=cls.size_p2_leaders,
+        base_leaders=base_small,
+        d0_max=d0_max,
+        sigma_lo=_exact_div(2**m - 2**p1 - 2 ** (p2 + 1) + 4, 2 * m, "selection floor"),
+        tail_len=2**e - 2,
+        direct_allotment=lambda sigma0: mid_total - p1 * sigma0,
+    )
     z = DefiningSet.from_mask(n, mask, {"construction": "odd-pq", "p1": p1, "p2": p2, "m": m})
     assert len(z) == 2 ** (m - 1) - 1
-    assert mask[1 : d0_max + 1].all(), "the guaranteed run must sit inside Z"
-    assert not mask[n - tail_len :].any() and not mask[0]
+    assert not mask[0], "0 stays outside Z"
 
     audit = OddPqAudit(
         p1=p1,
         p2=p2,
         m=m,
         d0_max=d0_max,
-        base_small_leaders=tuple(base_small),
-        f_leaders=f_leaders,
-        sigma0=sigma0,
-        sigma_lo=sigma_lo,
-        sigma=sigma,
-        case=case,
-        chosen_mid_leaders=tuple(chosen_mid),
-        chosen_full_leaders=tuple(chosen_full),
-        forbidden_leaders=forbidden,
-        tail_first=n - tail_len,
-        tail_last=n - 1,
+        base_small_leaders=base_small,
+        chosen_mid_leaders=chosen_mid,
+        **trace,
     )
     return z, audit
-
-
-def _is_odd_prime(v: int) -> bool:
-    if v < 3 or v % 2 == 0:
-        return False
-    d = 3
-    while d * d <= v:
-        if v % d == 0:
-            return False
-        d += 2
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +464,8 @@ def _is_odd_prime(v: int) -> bool:
 class SqrtComplementAudit:
     """Block-and-pairs trace for the odd-m builder."""
 
+    tag: ClassVar[str] = "sqrt-complement"
+
     m: int
     block_top: int
     t_leaders: tuple[int, ...]
@@ -508,18 +473,6 @@ class SqrtComplementAudit:
     residual_pairs: tuple[tuple[int, int], ...]
     selected_leaders: tuple[int, ...]
     overrides: tuple[int, ...] | None
-
-    def as_dict(self) -> dict:
-        return {
-            "construction": "sqrt-complement",
-            "m": self.m,
-            "block_top": self.block_top,
-            "t_leaders": list(self.t_leaders),
-            "neg_t_leaders": list(self.neg_t_leaders),
-            "residual_pairs": [list(p) for p in self.residual_pairs],
-            "selected_leaders": list(self.selected_leaders),
-            "overrides": None if self.overrides is None else list(self.overrides),
-        }
 
 
 def build_sqrt_complement(m: int, overrides=None):
@@ -546,16 +499,7 @@ def build_sqrt_complement(m: int, overrides=None):
 
     resid_mask = ~t_mask & ~neg_t_mask
     resid_mask[0] = False
-    resid_leaders = {int(v) for v in np.unique(table.leader_of[np.flatnonzero(resid_mask)])}
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for ell in sorted(resid_leaders):
-        if ell in seen:
-            continue
-        partner = int(table.leader_of[n - ell])
-        assert partner in resid_leaders and partner != ell, "residual pairing broke"
-        seen.update((ell, partner))
-        pairs.append((ell, partner))  # ell < partner by ascending scan
+    pairs = _complement_pairs(table, resid_mask)
 
     if overrides is None:
         selected = [ell for ell, _ in pairs]
@@ -577,9 +521,7 @@ def build_sqrt_complement(m: int, overrides=None):
                 )
             selected.append(hits[0])
 
-    mask = t_mask.copy()
-    if selected:
-        mask |= table.union_mask(selected)
+    mask = t_mask | table.union_mask(selected)
     z = DefiningSet.from_mask(
         n,
         mask,
@@ -617,6 +559,8 @@ class WeightClassAudit:
     2^((m+3)/2) - j, j in {9,11,13,15}, verified absent from B.
     """
 
+    tag: ClassVar[str] = "weight-class"
+
     m: int
     i: int
     block_top: int
@@ -628,13 +572,6 @@ class WeightClassAudit:
     b0_leaders: tuple[int, ...]
     intersection_leaders: tuple[int, ...]
     excluded_top: tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["construction"] = "weight-class"
-        for k in ("a_leaders", "b0_leaders", "intersection_leaders", "excluded_top"):
-            d[k] = list(d[k])
-        return d
 
 
 def build_weight_class(m: int, i: int):
@@ -721,3 +658,118 @@ def build_weight_class(m: int, i: int):
 
 #: All audit record types emitted by the builders.
 ConstructionAudit = Union[EvenMAudit, TwoPrimeAudit, OddPqAudit, SqrtComplementAudit, WeightClassAudit]
+
+
+def audit_as_dict(audit: ConstructionAudit) -> dict:
+    """JSON-ready form of any builder audit: its construction tag, then
+    every field in declaration order.  A tuple field becomes a list, and a
+    tuple of pairs a list of lists; the first element decides for the
+    whole field, since a field never mixes the two."""
+    out: dict = {"construction": audit.tag}
+    for f in fields(audit):
+        value = getattr(audit, f.name)
+        if isinstance(value, tuple):
+            of_pairs = bool(value) and isinstance(value[0], tuple)
+            value = [list(p) for p in value] if of_pairs else list(value)
+        out[f.name] = value
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the family registry: the command line and the fixtures dispatch through it
+# ---------------------------------------------------------------------------
+
+
+def int_list(text: str) -> tuple[int, ...] | None:
+    """Comma-separated integers, as the command line spells a leader list;
+    empty text means no list, as an empty ``--choose`` always has."""
+    return tuple(int(x) for x in text.split(",")) if text else None
+
+
+@dataclass(frozen=True)
+class FamilyParam:
+    """One builder keyword.  ``type`` parses its command-line value
+    (``bool`` makes an on/off flag); ``flag`` defaults to ``--name`` with
+    dashes for underscores."""
+
+    name: str
+    type: Callable[[str], object]
+    help: str
+    flag: str = ""
+    choices: tuple[int, ...] | None = None
+    metavar: str | None = None
+    required: bool = True
+
+
+@dataclass(frozen=True)
+class Family:
+    """A builder, the labels of the codes it returns (in order), its
+    parameters and a one-line summary."""
+
+    builder: Callable
+    labels: tuple[str, ...]
+    params: tuple[FamilyParam, ...]
+    help: str
+
+
+#: Every construction family by name; adding a family means adding an entry.
+FAMILIES: dict[str, Family] = {
+    "even-m": Family(
+        build_even_m,
+        ("C1", "C2"),
+        (
+            FamilyParam("m", int, "field degree, even, 4 <= m <= 24"),
+            FamilyParam("swap_pairs", bool, "route each complement pair to the opposite side"),
+        ),
+        "even-m split (two codes; pick one with --which)",
+    ),
+    "two-prime": Family(
+        build_two_prime,
+        ("C",),
+        (FamilyParam("p", int, "odd prime with 2p <= 24"),),
+        "m = 2p for odd prime p; 0 joins the set",
+    ),
+    "odd-pq": Family(
+        build_odd_pq,
+        ("C",),
+        (
+            FamilyParam("p1", int, "smaller odd prime"),
+            FamilyParam("p2", int, "larger odd prime, p1*p2 <= 24"),
+        ),
+        "m = p1*p2, distinct odd primes",
+    ),
+    "sqrt": Family(
+        build_sqrt_complement,
+        ("C",),
+        (
+            FamilyParam("m", int, "field degree, odd, 5 <= m <= 23"),
+            FamilyParam(
+                "overrides",
+                int_list,
+                "comma-separated residual-pair representatives",
+                flag="--choose",
+                metavar="L1,L2,...",
+                required=False,
+            ),
+        ),
+        "odd m block construction",
+    ),
+    "weight-class": Family(
+        build_weight_class,
+        ("C",),
+        (
+            FamilyParam("m", int, "field degree, odd, 9 <= m <= 23"),
+            FamilyParam("i", int, "weight-parity selector", choices=(0, 1)),
+        ),
+        "odd m >= 9 weight-parity construction",
+    ),
+}
+
+
+def build_family(name: str, **params):
+    """Run the builder of family ``name``; returns ``([(label, set), ...], audit)``."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown construction tag {name!r}")
+    family = FAMILIES[name]
+    *sets, audit = family.builder(**params)
+    return list(zip(family.labels, sets)), audit

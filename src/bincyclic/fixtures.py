@@ -26,19 +26,13 @@ code (defining set -(Z_n \\ Z)).
 from __future__ import annotations
 
 import fnmatch
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .codecore import assemble, bch_run, dual_defining_set
-from .constructions import (
-    DefiningSet,
-    build_even_m,
-    build_odd_pq,
-    build_sqrt_complement,
-    build_two_prime,
-    build_weight_class,
-)
+from .constructions import DefiningSet, build_family
 from .distance import exact_min_distance, low_weight_search
 
 
@@ -111,23 +105,7 @@ def _span(values: tuple[int, ...]) -> str:
 
 
 def _build_sets(fx: Fixture):
-    params = dict(fx.params)
-    if fx.construction == "even-m":
-        z1, z2, audit = build_even_m(**params)
-        return [("C1", z1), ("C2", z2)], audit
-    if fx.construction == "two-prime":
-        z, audit = build_two_prime(**params)
-        return [("C", z)], audit
-    if fx.construction == "odd-pq":
-        z, audit = build_odd_pq(**params)
-        return [("C", z)], audit
-    if fx.construction == "sqrt":
-        z, audit = build_sqrt_complement(**params)
-        return [("C", z)], audit
-    if fx.construction == "weight-class":
-        z, audit = build_weight_class(**params)
-        return [("C", z)], audit
-    raise ValueError(f"unknown construction tag {fx.construction!r}")
+    return build_family(fx.construction, **dict(fx.params))
 
 
 def run_fixture(fx: Fixture, *, threads: int = 1) -> FixtureReport:
@@ -156,7 +134,7 @@ def run_fixture(fx: Fixture, *, threads: int = 1) -> FixtureReport:
 
     for exp in fx.codes:
         zset = sets[exp.label]
-        elems = tuple(int(x) for x in zset.elements)
+        elems = tuple(zset.elements.tolist())
         rows.append(CheckRow(exp.label, "n", exp.n, zset.n, zset.n == exp.n))
         k = zset.n - len(zset)
         rows.append(CheckRow(exp.label, "dimension", exp.k, k, k == exp.k))
@@ -188,26 +166,16 @@ def run_fixture(fx: Fixture, *, threads: int = 1) -> FixtureReport:
                     not hit,
                 )
             )
-        if exp.bch_floor is not None or exp.bch_floor_strict is not None or exp.bch_computed is not None:
+        bch_checks = (
+            ("bch_lower_bound >=", exp.bch_floor, operator.ge),
+            ("bch_lower_bound >= (strict)", exp.bch_floor_strict, operator.ge),
+            ("bch_lower_bound", exp.bch_computed, operator.eq),
+        )
+        if any(want is not None for _, want, _ in bch_checks):
             delta, _ = bch_run(zset)
-            if exp.bch_floor is not None:
-                rows.append(
-                    CheckRow(exp.label, "bch_lower_bound >=", exp.bch_floor, delta, delta >= exp.bch_floor)
-                )
-            if exp.bch_floor_strict is not None:
-                rows.append(
-                    CheckRow(
-                        exp.label,
-                        "bch_lower_bound >= (strict)",
-                        exp.bch_floor_strict,
-                        delta,
-                        delta >= exp.bch_floor_strict,
-                    )
-                )
-            if exp.bch_computed is not None:
-                rows.append(
-                    CheckRow(exp.label, "bch_lower_bound", exp.bch_computed, delta, delta == exp.bch_computed)
-                )
+            for name, want, holds in bch_checks:
+                if want is not None:
+                    rows.append(CheckRow(exp.label, name, want, delta, holds(delta, want)))
         if exp.distance is not None:
             result = exact_min_distance(code_for(exp.label), threads=threads)
             rows.append(

@@ -1,15 +1,32 @@
 """End-to-end command-line behavior via run_command."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from bincyclic.cli import run_command
+from bincyclic.cli import _build_parser, run_command
 from bincyclic.codecore import assemble, describe
-from bincyclic.constructions import DefiningSet, build_even_m
-from bincyclic.fixtures import EXAMPLE1_Z2, SQRT_M5_Z
+from bincyclic.constructions import FAMILIES, DefiningSet, audit_as_dict, build_even_m
+from bincyclic.fixtures import EXAMPLE1_Z2, FIXTURES, SQRT_M5_Z
 from bincyclic.gf2 import poly_to_hex
+
+# One small instance per family: its CLI arguments and the builder keywords
+# they must turn into.
+SMALL_FAMILY_CASES = {
+    "even-m": (["--m", "4", "--swap-pairs"], {"m": 4, "swap_pairs": True}),
+    "two-prime": (["--p", "3"], {"p": 3}),
+    "odd-pq": (["--p1", "3", "--p2", "5"], {"p1": 3, "p2": 5}),
+    "sqrt": (["--m", "7", "--choose", "21,27"], {"m": 7, "overrides": (21, 27)}),
+    "weight-class": (["--m", "9", "--i", "1"], {"m": 9, "i": 1}),
+}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
 
 M4_COSETS_CSV = (
     "leader,size,members\n"
@@ -29,6 +46,12 @@ class TestCosets:
     def test_bad_m_is_a_domain_error(self, capsys):
         assert run_command(["cosets", "--m", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("m", ["-1", "25"])
+    def test_analyze_bad_m_is_a_domain_error(self, m, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert run_command(["analyze", "--m", m]) == 1
+        assert capsys.readouterr().err == f"error: need 2 <= m <= 24, got {m}\n"
 
 
 class TestConstruct:
@@ -58,7 +81,25 @@ class TestConstruct:
         payload = json.loads(capsys.readouterr().out)
         z1, _, audit = build_even_m(6)
         assert payload["code"] == describe(z1).as_dict()
-        assert payload["audit"] == audit.as_dict()
+        assert payload["audit"] == audit_as_dict(audit)
+
+    @pytest.mark.parametrize("family", list(SMALL_FAMILY_CASES))
+    def test_every_family_json_matches_library(self, family, capsys):
+        argv, params = SMALL_FAMILY_CASES[family]
+        *sets, audit = FAMILIES[family].builder(**params)
+        for label, zset in zip(FAMILIES[family].labels, sets):
+            which = ["--which", label] if len(sets) > 1 else []
+            assert run_command(["construct", family, *argv, *which, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["code"] == describe(zset).as_dict()
+            assert payload["audit"] == audit_as_dict(audit)
+            assert list(payload["audit"])[0] == "construction"
+
+    def test_family_table_is_the_one_list_of_families(self):
+        commands = _subcommands(_build_parser())
+        for command in ("construct", "export"):
+            assert set(_subcommands(commands[command])) == set(FAMILIES)
+        assert set(FAMILIES) == {fx.construction for fx in FIXTURES} == set(SMALL_FAMILY_CASES)
 
     def test_human_summary(self, capsys):
         assert run_command(["construct", "two-prime", "--p", "3"]) == 0
@@ -235,6 +276,7 @@ class TestUsageErrors:
             ["construct", "even-m", "--m", "4"],  # missing --which
             ["analyze"],                     # missing --m
             ["construct", "weight-class", "--m", "9", "--i", "2"],
+            ["construct", "sqrt", "--m", "7", "--choose", "21,x"],
         ],
     )
     def test_exit_64(self, argv, capsys):
