@@ -26,6 +26,7 @@ from typing import Optional
 from .codecore import (
     CyclicCode,
     DegenerateCodeError,
+    InvariantError,
     assemble,
     describe,
 )
@@ -349,6 +350,7 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         ValueError,
         SelectionError,
         DegenerateCodeError,
+        InvariantError,
         BudgetExceeded,
         SearchError,
         OSError,

@@ -19,30 +19,33 @@ from typing import Optional
 import numpy as np
 
 from .constructions import DefiningSet
-from .cosets import coset_of
-from .gf2 import FieldContext, make_field, minimal_polynomial, poly_degree, poly_divrem, poly_mul
+from .gf2 import FieldContext, make_field, minimal_polynomials, poly_degree, poly_divrem, poly_mul
 
 
 class DegenerateCodeError(ValueError):
     """The defining set names a dimension-0 code (Z = Z_n)."""
 
 
-def _leaders_of(zset: DefiningSet) -> list[int]:
-    """Coset leaders present in a doubling-closed set, ascending."""
+class InvariantError(RuntimeError):
+    """An internal consistency check failed; the result cannot be trusted."""
+
+
+def _leaders_of(zset: DefiningSet) -> np.ndarray:
+    """Coset leaders present in a doubling-closed set, ascending.
+
+    m - 1 doubling passes visit every orbit (orbit sizes divide m); a
+    leader is an element equal to its orbit minimum.
+    """
     n = zset.n
-    mask = zset.mask()
-    leaders = []
-    for x in zset:
-        orbit_min = x
-        y = (2 * x) % n
-        while y != x:
-            if y < orbit_min:
-                orbit_min = y
-            y = (2 * y) % n
-        if orbit_min == x:
-            leaders.append(x)
-        assert mask[orbit_min], "doubling closure violated"
-    return leaders
+    elements = zset.elements
+    orbit_min = elements.copy()
+    y = elements.copy()
+    for _ in range(n.bit_length() - 1):
+        y = (2 * y) % n
+        np.minimum(orbit_min, y, out=orbit_min)
+    if not zset.mask()[orbit_min].all():
+        raise InvariantError("doubling closure violated")
+    return elements[orbit_min == elements]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,17 +85,13 @@ class CyclicCode:
     def verify_roots(self) -> bool:
         """Exhaustively confirm g(beta^z) = 0 exactly for z in Z.
 
-        Costs n field evaluations of a degree-|Z| polynomial; intended
-        for n <= 2^16.
+        One :meth:`FieldContext.eval_at_powers` pass over all n powers of
+        beta, costing n * |supp g| table gathers; limited to n <= 65535.
         """
         if self.n > (1 << 16):
             raise ValueError("full root verification is limited to n <= 65535")
-        zmask = self.defining_set.mask()
-        for z in range(self.n):
-            root = self.ctx.eval_poly(self.generator, self.ctx.pow_beta(z)) == 0
-            if root != bool(zmask[z]):
-                return False
-        return True
+        values = self.ctx.eval_at_powers(self.generator, np.arange(self.n))
+        return bool(np.array_equal(values == 0, self.defining_set.mask()))
 
     def dual(self) -> "CyclicCode":
         """The dual code, with the two derivations cross-checked."""
@@ -106,7 +105,8 @@ class CyclicCode:
         for j in range(k + 1):
             if (h >> j) & 1:
                 rev |= 1 << (k - j)
-        assert via_set.generator == rev, "dual generator mismatch between routes"
+        if via_set.generator != rev:
+            raise InvariantError("dual generator mismatch between routes")
         return via_set
 
 
@@ -124,9 +124,13 @@ def dual_defining_set(zset: DefiningSet) -> DefiningSet:
 def assemble(zset: DefiningSet, *, ctx: Optional[FieldContext] = None) -> CyclicCode:
     """Build the cyclic code named by a defining set.
 
-    Multiplies the minimal polynomials of the coset leaders, checks
-    deg(g) = |Z|, divides x^n + 1 by g exactly, and spot-checks one root
-    per coset.  Raises :class:`DegenerateCodeError` for Z = Z_n.
+    Computes the minimal polynomials of all coset leaders in one batch
+    (:func:`~bincyclic.gf2.minimal_polynomials`) and multiplies them,
+    checks deg(g) = |Z|, divides x^n + 1 by g exactly, and checks
+    g(beta^z) = 0 at every leader z in one
+    :meth:`~bincyclic.gf2.FieldContext.eval_at_powers` pass.  A failed
+    check raises :class:`InvariantError`, with or without ``python -O``.
+    Raises :class:`DegenerateCodeError` for Z = Z_n.
     """
     n = zset.n
     m = (n + 1).bit_length() - 1
@@ -141,16 +145,20 @@ def assemble(zset: DefiningSet, *, ctx: Optional[FieldContext] = None) -> Cyclic
 
     g = 1
     leaders = _leaders_of(zset)
-    for lead in leaders:
-        g = poly_mul(g, minimal_polynomial(ctx, lead))
-    assert poly_degree(g) == len(zset), "generator degree must equal |Z|"
+    for mp in minimal_polynomials(ctx, leaders):
+        g = poly_mul(g, mp)
+    if poly_degree(g) != len(zset):
+        raise InvariantError(f"generator degree {poly_degree(g)} must equal |Z| = {len(zset)}")
 
     h, rem = poly_divrem((1 << n) | 1, g)
-    assert rem == 0, "generator must divide x^n + 1"
-    assert poly_degree(h) == n - len(zset)
+    if rem != 0:
+        raise InvariantError("generator must divide x^n + 1")
+    if poly_degree(h) != n - len(zset):
+        raise InvariantError(f"parity degree {poly_degree(h)} must equal n - |Z| = {n - len(zset)}")
 
-    for lead in leaders:
-        assert ctx.eval_poly(g, ctx.pow_beta(lead)) == 0, f"beta^{lead} must be a root"
+    missed = np.flatnonzero(ctx.eval_at_powers(g, leaders))
+    if missed.size:
+        raise InvariantError(f"beta^{int(leaders[missed[0]])} must be a root of the generator")
 
     return CyclicCode(n=n, m=m, defining_set=zset, generator=g, parity=h, ctx=ctx)
 
@@ -175,7 +183,8 @@ def bch_run(zset: DefiningSet) -> tuple[int, Optional[int]]:
     starts = last_gap + 1
     runs[starts >= n] = 0  # runs starting in the second copy repeat earlier ones
     best_len = int(runs.max())
-    assert 1 <= best_len < n
+    if not 1 <= best_len < n:
+        raise InvariantError(f"run length {best_len} outside [1, {n})")
     best_start = int(starts[runs == best_len].min())
     return best_len + 1, best_start
 

@@ -14,6 +14,7 @@ lookups and an addition mod ``2^m - 1``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,10 @@ import numpy as np
 BinaryPolynomial = int
 
 MAX_FIELD_DEGREE = 24
+
+#: Elements per temporary block in :meth:`FieldContext.eval_at_powers`
+#: (128 KiB of int64 exponents), so evaluation adds little to peak memory.
+EVAL_BLOCK = 1 << 14
 
 
 def poly_degree(a: BinaryPolynomial) -> int | None:
@@ -202,18 +207,56 @@ class FieldContext:
             acc = self.mul(acc, e) ^ ((poly >> i) & 1)
         return acc
 
+    def eval_at_powers(self, poly: BinaryPolynomial, exps) -> np.ndarray:
+        """Evaluate a GF(2)[x] polynomial at beta^z for every z in ``exps``.
+
+        g(beta^z) is the XOR of beta^(i*z mod n) over the set bits i of g,
+        so each value is a gather from the antilog table and an XOR
+        reduction.  Exponents are taken mod n (negative ones too).  The
+        work is |supp g| * len(exps) gathers, done in blocks of at most
+        ``EVAL_BLOCK`` elements; the result is an array of packed field
+        elements aligned with ``exps``.
+        """
+        if poly < 0:
+            raise ValueError("negative value is not a polynomial encoding")
+        n = self.n
+        z = np.asarray(exps, dtype=np.int64).reshape(-1) % n
+        out = np.zeros(z.size, dtype=self.antilog_table.dtype)
+        if poly == 0 or z.size == 0:
+            return out
+        packed = np.frombuffer(poly.to_bytes((poly.bit_length() + 7) // 8, "little"), np.uint8)
+        bits = np.flatnonzero(np.unpackbits(packed, bitorder="little")) % n
+        cols = min(z.size, EVAL_BLOCK)
+        rows = EVAL_BLOCK // cols
+        for c in range(0, z.size, cols):
+            zc = z[c : c + cols]
+            acc = out[c : c + cols]
+            for r in range(0, bits.size, rows):
+                powers = np.multiply.outer(bits[r : r + rows], zc)
+                powers %= n
+                acc ^= np.bitwise_xor.reduce(self.antilog_table[powers], axis=0)
+        return out
+
 
 def make_field(m: int) -> FieldContext:
-    """Build GF(2^m) on the lexicographically smallest primitive modulus.
+    """GF(2^m) on the lexicographically smallest primitive modulus.
 
     "Lexicographically smallest" compares coefficient bit-strings as
     integers, so the search walks odd degree-m candidates in increasing
     integer order.  Only the generator's order is tested (see
     :func:`_x_has_full_order`); the first hit is both irreducible and
     primitive.
+
+    The four most recently used fields are cached, so repeated calls with
+    the same ``m`` return the same read-only context.
     """
     if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
         raise ValueError(f"extension degree must satisfy 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+    return _build_field(m)
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _build_field(m: int) -> FieldContext:
     n = (1 << m) - 1
     modulus = 0
     for cand in range((1 << m) | 1, 1 << (m + 1), 2):
@@ -240,41 +283,56 @@ def make_field(m: int) -> FieldContext:
 
 
 def minimal_polynomial(ctx: FieldContext, e: int) -> BinaryPolynomial:
-    """Minimal polynomial of beta^e over GF(2).
+    """Minimal polynomial of beta^e over GF(2); see :func:`minimal_polynomials`."""
+    return minimal_polynomials(ctx, [e])[0]
 
-    Expands the product of (x - beta^j) over the doubling orbit of ``e``
-    in GF(2^m)[x]; the result must collapse into the prime subfield.  Its
-    degree equals the orbit size.
+
+def minimal_polynomials(ctx: FieldContext, leaders) -> list[BinaryPolynomial]:
+    """Minimal polynomials of beta^e over GF(2), one per exponent in ``leaders``.
+
+    Each is the product of (x - beta^j) over the doubling orbit of e, of
+    size s.  Exponents are grouped by s; each group keeps a (rows, s+1)
+    array of field coefficients and takes s multiply-accumulate passes
+    through the log/antilog tables.  Every coefficient must collapse into
+    the prime subfield, and the degree equals the orbit size.
     """
     n = ctx.n
-    if not 0 <= e < n:
-        raise ValueError(f"exponent must lie in [0, {n}), got {e}")
-    orbit = []
-    j = e
-    while True:
-        orbit.append(j)
-        j = (2 * j) % n
-        if j == e:
-            break
+    e = np.asarray(leaders, dtype=np.int64).reshape(-1)
+    bad = (e < 0) | (e >= n)
+    if bad.any():
+        raise ValueError(f"exponent must lie in [0, {n}), got {int(e[bad][0])}")
+    # orbit[:, j] = e * 2^j mod n; the orbit size is the first j > 0 back
+    # at e, and m at most since 2^m = 1 mod n
+    orbit = np.empty((e.size, ctx.m), dtype=np.int64)
+    orbit[:, 0] = e
+    for j in range(1, ctx.m):
+        orbit[:, j] = (2 * orbit[:, j - 1]) % n
+    sizes = np.full(e.size, ctx.m)
+    for j in range(ctx.m - 1, 0, -1):
+        sizes[orbit[:, j] == e] = j
 
-    # coeffs[i] is the field element multiplying x^i
-    coeffs = [1]
-    for j in orbit:
-        root = ctx.pow_beta(j)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            nxt[i + 1] ^= c
-            nxt[i] ^= ctx.mul(c, root)
-        coeffs = nxt
-
-    packed = 0
-    for i, c in enumerate(coeffs):
-        if c not in (0, 1):
+    log, antilog = ctx.log_table, ctx.antilog_table
+    out = [0] * e.size
+    for s in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == s)
+        # coeffs[:, i] is the field element multiplying x^i
+        coeffs = np.zeros((rows.size, s + 1), dtype=np.int64)
+        coeffs[:, 0] = 1
+        for j in range(s):
+            # times (x + beta^orbit[:, j]): shift up, add the scaled copy
+            scaled = np.where(coeffs != 0, antilog[(log[coeffs] + orbit[rows, j][:, None]) % n], 0)
+            coeffs[:, 1:] = coeffs[:, :-1].copy()
+            coeffs[:, 0] = 0
+            coeffs ^= scaled
+        outside = (coeffs > 1).any(axis=1)
+        if outside.any():
+            r = int(np.flatnonzero(outside)[0])
+            c = int(coeffs[r][coeffs[r] > 1][0])
             raise RuntimeError(
-                f"minimal polynomial of beta^{e} has a coefficient {c} outside GF(2); "
-                "field tables are inconsistent"
+                f"minimal polynomial of beta^{int(e[rows[r]])} has a coefficient {c} outside "
+                "GF(2); field tables are inconsistent"
             )
-        packed |= c << i
-    return packed
+        packed = (coeffs << np.arange(s + 1)).sum(axis=1)
+        for r, poly in zip(rows.tolist(), packed.tolist()):
+            out[r] = poly
+    return out

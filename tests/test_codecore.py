@@ -1,14 +1,23 @@
 """Code assembly, duality, run bounds, and report serialization."""
 
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bincyclic
+from bincyclic import codecore
+from bincyclic.cli import run_command
 from bincyclic.codecore import (
     CyclicCode,
     DegenerateCodeError,
+    InvariantError,
     assemble,
     bch_lower_bound,
     bch_run,
@@ -23,7 +32,7 @@ from bincyclic.constructions import (
 )
 from bincyclic.cosets import build_table
 from bincyclic.fixtures import EXAMPLE1_Z1, EXAMPLE1_Z2, SQRT_M5_Z
-from bincyclic.gf2 import make_field, poly_degree, poly_mul
+from bincyclic.gf2 import make_field, minimal_polynomials, poly_degree, poly_mul
 
 
 def _set(n, elements):
@@ -143,6 +152,31 @@ class TestVerifyRoots:
     def test_roots_are_exactly_the_defining_set(self, z):
         assert assemble(z).verify_roots()
 
+    def test_tampered_generator_is_caught(self):
+        # g * (x + 1) gains the root beta^0, which is outside Z = {1, 2, 4}
+        code = assemble(_set(7, (1, 2, 4)))
+        tampered = CyclicCode(
+            n=7,
+            m=3,
+            defining_set=code.defining_set,
+            generator=poly_mul(code.generator, 0b11),
+            parity=code.parity,
+            ctx=code.ctx,
+        )
+        assert code.verify_roots()
+        assert not tampered.verify_roots()
+
+    def test_missing_root_is_caught(self):
+        # drop the factor for the coset of 3: g no longer vanishes there
+        z = _set(15, EXAMPLE1_Z2)
+        code = assemble(z)
+        smaller = assemble(_set(15, sorted(z.as_set() - {3, 6, 9, 12})), ctx=code.ctx)
+        shell = CyclicCode(
+            n=15, m=4, defining_set=z, generator=smaller.generator,
+            parity=code.parity, ctx=code.ctx,
+        )
+        assert not shell.verify_roots()
+
     def test_refuses_huge_lengths(self):
         # the guard fires on n alone, so a hand-built shell is enough
         n = (1 << 17) - 1
@@ -156,6 +190,71 @@ class TestVerifyRoots:
         )
         with pytest.raises(ValueError, match="65535"):
             code.verify_roots()
+
+
+# Z = C_1 + C_3 over n = 15; C_7 has the same size and lies outside Z.
+TAMPER_Z = (1, 2, 4, 8, 3, 6, 9, 12)
+TAMPER_SCRIPT = """
+import bincyclic.codecore as cc
+from bincyclic.constructions import DefiningSet
+if __debug__:
+    raise SystemExit("not running under -O")
+real = cc.minimal_polynomials
+cc.minimal_polynomials = lambda ctx, leaders: real(ctx, leaders)[:-1] + real(ctx, [7])
+try:
+    cc.assemble(DefiningSet.from_elements(15, %r))
+except cc.InvariantError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InvariantError")
+""" % (TAMPER_Z,)
+
+
+@pytest.fixture
+def swapped_minimal_polynomial(monkeypatch):
+    """assemble() gets m_7 in place of m_3: same degree, root outside Z."""
+
+    def tampered(ctx, leaders):
+        polys = minimal_polynomials(ctx, leaders)
+        assert list(leaders) == [1, 3]
+        return polys[:-1] + minimal_polynomials(ctx, [7])
+
+    monkeypatch.setattr("bincyclic.codecore.minimal_polynomials", tampered)
+
+
+class TestInvariants:
+    def test_root_check_names_the_missing_root(self, swapped_minimal_polynomial):
+        with pytest.raises(InvariantError, match="beta\\^3 must be a root"):
+            assemble(_set(15, TAMPER_Z))
+
+    def test_root_check_survives_python_O(self):
+        src = Path(bincyclic.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", TAMPER_SCRIPT],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert "beta^3 must be a root" in proc.stdout
+
+    def test_cli_reports_an_invariant_failure_as_exit_1(
+        self, swapped_minimal_polynomial, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, TAMPER_Z))))
+        assert run_command(["analyze", "--m", "4"]) == 1
+        assert capsys.readouterr().err.startswith("error: beta^3 must be a root")
+
+    def test_invariant_error_is_a_runtime_error(self):
+        assert issubclass(InvariantError, RuntimeError)
+        assert not issubclass(InvariantError, AssertionError)
+
+
+class TestLeaders:
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
+    def test_leaders_are_orbit_minima(self, m):
+        for z in _random_proper_sets(m, 5, seed=40 + m):
+            n = z.n
+            want = [x for x in z if all((x << j) % n >= x for j in range(m))]
+            assert codecore._leaders_of(z).tolist() == want
 
 
 class TestDuality:

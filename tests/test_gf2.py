@@ -1,13 +1,16 @@
 """Field arithmetic: primitive moduli, tables, minimal polynomials."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bincyclic import gf2
 from bincyclic.gf2 import (
     FieldContext,
     make_field,
     minimal_polynomial,
+    minimal_polynomials,
     poly_degree,
     poly_divrem,
     poly_from_bitstring,
@@ -63,6 +66,32 @@ def _ref_order_of_x(f: int, m: int) -> int:
     return order if value == 1 else 0
 
 
+def _ref_powers(modulus: int, m: int) -> list[int]:
+    """x^j mod modulus for 0 <= j < 2^m - 1, by repeated multiplication by x."""
+    powers = [1]
+    for _ in range((1 << m) - 2):
+        v = powers[-1] << 1
+        powers.append(v ^ modulus if v >> m else v)
+    return powers
+
+
+def _ref_minimal_polynomial(modulus: int, m: int, e: int, powers: list[int]) -> int:
+    """Expand prod (x - beta^j) over the doubling orbit of e, one root at a time."""
+    n = (1 << m) - 1
+    orbit = [e]
+    while (2 * orbit[-1]) % n != e:
+        orbit.append((2 * orbit[-1]) % n)
+    coeffs = [1]  # coeffs[i] multiplies x^i
+    for j in orbit:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] ^= c
+            nxt[i] ^= _ref_divmod(_ref_mul(c, powers[j]), modulus)[1]
+        coeffs = nxt
+    assert set(coeffs) <= {0, 1}
+    return sum(c << i for i, c in enumerate(coeffs))
+
+
 def _smallest_primitive(m: int) -> int:
     n = (1 << m) - 1
     for cand in range((1 << m) | 1, 1 << (m + 1), 2):
@@ -87,6 +116,17 @@ class TestMakeField:
     def test_degree_bounds(self, m):
         with pytest.raises(ValueError):
             make_field(m)
+
+    @pytest.mark.parametrize("m", [2, 5, 11])
+    def test_repeated_calls_share_one_context(self, m):
+        assert make_field(m) is make_field(m)
+
+    @pytest.mark.parametrize("bad", [2.0, 5.0, "5", True, [5]])
+    def test_bad_degrees_still_raise_after_caching(self, bad):
+        make_field(2)
+        make_field(5)
+        with pytest.raises(ValueError):
+            make_field(bad)
 
     def test_table_shapes_and_sentinel(self):
         ctx = make_field(5)
@@ -179,6 +219,83 @@ class TestMinimalPolynomial:
         for lead in leaders:
             product = poly_mul(product, minimal_polynomial(ctx, lead))
         assert product == (1 << n) | 1
+
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_batch_matches_per_root_expansion(self, m):
+        ctx = make_field(m)
+        n = ctx.n
+        leaders = [x for x in range(n) if all((x << j) % n >= x for j in range(m))]
+        powers = _ref_powers(ctx.modulus, m)
+        want = [_ref_minimal_polynomial(ctx.modulus, m, e, powers) for e in leaders]
+        assert minimal_polynomials(ctx, leaders) == want
+        assert minimal_polynomial(ctx, leaders[-1]) == want[-1]
+
+    def test_batch_covers_every_orbit_size(self):
+        ctx = make_field(12)
+        sizes = {poly_degree(p) for p in minimal_polynomials(ctx, range(ctx.n))}
+        assert sizes == {1, 2, 3, 4, 6, 12}
+
+    def test_batch_keeps_input_order_and_repeats(self):
+        ctx = make_field(6)
+        exps = [21, 0, 9, 1, 21, 62]
+        assert minimal_polynomials(ctx, exps) == [minimal_polynomial(ctx, e) for e in exps]
+        assert minimal_polynomials(ctx, []) == []
+
+    @pytest.mark.parametrize("e", [-1, 63])
+    def test_exponent_out_of_range(self, e):
+        ctx = make_field(6)
+        with pytest.raises(ValueError, match="exponent"):
+            minimal_polynomials(ctx, [1, e])
+        with pytest.raises(ValueError, match="exponent"):
+            minimal_polynomial(ctx, e)
+
+    def test_coefficient_outside_gf2_is_reported(self):
+        # a context whose antilog table does not follow its log table
+        ctx = make_field(4)
+        antilog = ctx.antilog_table.copy()
+        antilog[[1, 2]] = antilog[[2, 1]]
+        broken = FieldContext(
+            m=4, modulus=ctx.modulus, log_table=ctx.log_table, antilog_table=antilog
+        )
+        with pytest.raises(RuntimeError, match="outside GF\\(2\\)"):
+            minimal_polynomials(broken, [1, 3])
+
+
+class TestEvalAtPowers:
+    def test_zero_and_constant_polynomials(self):
+        ctx = make_field(5)
+        exps = [0, 1, 30, 31, 100]
+        assert ctx.eval_at_powers(0, exps).tolist() == [0] * 5
+        assert ctx.eval_at_powers(1, exps).tolist() == [1] * 5
+        assert ctx.eval_at_powers(0b1011, []).size == 0
+
+    def test_blocking_does_not_change_values(self, monkeypatch):
+        ctx = make_field(6)
+        g = minimal_polynomial(ctx, 1) * 0x5A5  # any polynomial with many bits
+        exps = np.arange(-70, 200)
+        whole = ctx.eval_at_powers(g, exps)
+        for block in (1, 5, 64):
+            monkeypatch.setattr(gf2, "EVAL_BLOCK", block)
+            assert np.array_equal(ctx.eval_at_powers(g, exps), whole)
+        assert whole.tolist() == [ctx.eval_poly(g, ctx.pow_beta(int(z))) for z in exps]
+
+    def test_rejects_negative_encoding(self):
+        with pytest.raises(ValueError):
+            make_field(4).eval_at_powers(-1, [1])
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_eval_at_powers_matches_horner(data):
+    ctx = make_field(data.draw(st.integers(2, 8), label="m"))
+    n = ctx.n
+    poly = data.draw(
+        st.one_of(st.sampled_from([0, 1]), st.integers(0, (1 << (3 * n + 1)) - 1)), label="poly"
+    )
+    exps = data.draw(st.lists(st.integers(-n, 3 * n), max_size=24), label="exps")
+    got = ctx.eval_at_powers(poly, exps)
+    assert got.tolist() == [ctx.eval_poly(poly, ctx.pow_beta(z)) for z in exps]
 
 
 class TestPolynomialHelpers:
