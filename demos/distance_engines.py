@@ -1,9 +1,13 @@
-"""Measuring minimum distance: exact enumeration next to seeded search.
+"""Measuring minimum distance: exact enumeration, information-weight
+proof and seeded search.
 
 The exhaustive engine walks all 2^k - 1 nonzero messages in Gray-code
 order (one row-XOR per codeword) and is exact up to its dimension
-budget.  Above that, the randomized information-set search gives an
-upper bound, with the run bound as the proven floor.
+budget.  The information-weight engine proves the same distance and
+witness from far fewer messages, because every weight-d word of a cyclic
+code has a shift of information weight <= floor(d*k/n).  Above that, the
+randomized information-set search gives an upper bound, with the run
+bound as the proven floor.
 """
 
 import time
@@ -13,9 +17,12 @@ from bincyclic import (
     assemble,
     auto_distance,
     build_sqrt_complement,
+    build_two_prime,
     dual_defining_set,
     exact_min_distance,
     low_weight_search,
+    proven_min_distance,
+    verify_distance_certificate,
 )
 
 
@@ -34,6 +41,17 @@ def main():
     dual = assemble(dual_defining_set(z))
     print(f"[{dual.n},{dual.dimension}] exact d = "
           f"{exact_min_distance(dual).exact_distance}")
+
+    # [63,32]: 2^32 messages for the sweep; the proof scores about a million
+    z3, _ = build_two_prime(3)
+    code3 = assemble(z3)
+    t0 = time.perf_counter()
+    proof = proven_min_distance(code3)
+    dt = time.perf_counter() - t0
+    verify_distance_certificate(code3, proof)
+    print(f"\n[{code3.n},{code3.dimension}] proven d = {proof.exact_distance} "
+          f"({proof.iterations} combinations scored in {dt:.3f}s)")
+    print(f"  certificate: {proof.certificate.inequality}")
 
     # [127,64]: dimension 64 is far past enumeration; search instead
     z7, _ = build_sqrt_complement(7, overrides=(21, 27))

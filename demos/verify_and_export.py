@@ -21,7 +21,7 @@ from bincyclic import (
 def main():
     for fixture_id in ("example1", "table3-p3", "weight-class-m9-i0"):
         [fx] = select_fixtures(fixture_id)
-        report = run_fixture(fx, threads=2)
+        report = run_fixture(fx)
         flag = "ok" if report.ok else "MISMATCH"
         print(f"[{flag}] {fx.fixture_id}: {len(report.rows)} checks "
               f"in {report.seconds:.2f}s")

@@ -38,6 +38,7 @@ from .distance import (
     auto_distance,
     exact_min_distance,
     low_weight_search,
+    proven_min_distance,
 )
 from .fixtures import run_fixture, select_fixtures
 from .gf2 import MAX_FIELD_DEGREE, poly_to_bitstring, poly_to_hex
@@ -80,7 +81,9 @@ def _build_parser() -> _Parser:
     p_vp.add_argument("--fixture", metavar="PATTERN",
                       help="fixture id or glob pattern (default: every fast fixture)")
     p_vp.add_argument("--all", action="store_true", help="include slow fixtures")
-    p_vp.add_argument("--threads", type=int, default=1)
+    p_vp.add_argument("--threads", type=int, default=1,
+                      help="accepted and ignored: distance rows use the single-threaded "
+                           "proof engine")
     p_vp.add_argument("--json", action="store_true")
 
     def _add_export_args(family_parser: _Parser) -> None:
@@ -112,17 +115,20 @@ def _add_family_args(parser: _Parser, extras=()) -> None:
 
 
 def _add_engine_args(parser: _Parser, default_engine: str = "auto") -> None:
-    choices = ("auto", "exhaustive", "search")
+    choices = ("auto", "exhaustive", "search", "proof")
     if default_engine == "none":
         choices = ("none",) + choices
-    parser.add_argument("--engine", choices=choices, default=default_engine)
+    parser.add_argument("--engine", choices=choices, default=default_engine,
+                        help="distance engine; 'proof' is the information-weight "
+                             "enumeration, which ignores --budget and --threads")
     parser.add_argument("--budget", type=int, default=33,
                         help="max dimension for exhaustive enumeration")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--iters", type=int, default=10_000)
     parser.add_argument("--depth", type=int, default=2,
                         help="information-pattern weight limit (1-3)")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for exhaustive enumeration")
 
 
 def _add_output_args(parser: _Parser, elements_only: bool = True) -> None:
@@ -174,6 +180,8 @@ def _print_distance(result) -> None:
     witness = d["witness_bits"]
     support = [i for i, bit in enumerate(witness) if bit == "1"]
     print(f"witness weight   : {d['witness_weight']}  support {support}")
+    if "certificate" in d:
+        print(f"certificate      : {d['certificate']['inequality']}")
 
 
 def _emit_json(payload: dict, output: Optional[str] = None) -> None:
@@ -200,6 +208,8 @@ def _run_distance(code: CyclicCode, args):
         return exact_min_distance(code, budget=args.budget, threads=args.threads)
     if args.engine == "search":
         return low_weight_search(code, seed=args.seed, iterations=args.iters, depth=args.depth)
+    if args.engine == "proof":
+        return proven_min_distance(code)
     return auto_distance(
         code,
         budget=args.budget,
@@ -260,7 +270,7 @@ def _cmd_verify(args) -> int:
     reports = []
     failed = 0
     for fx in fixtures:
-        rep = run_fixture(fx, threads=args.threads)
+        rep = run_fixture(fx)
         reports.append((fx, rep))
         if not rep.ok:
             failed += 1

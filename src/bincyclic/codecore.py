@@ -176,16 +176,16 @@ def bch_run(zset: DefiningSet) -> tuple[int, Optional[int]]:
         return 1, None
     if len(zset) == n:
         raise DegenerateCodeError("defining set is all of Z_n")
-    doubled = np.tile(zset.mask(), 2)
-    idx = np.arange(2 * n, dtype=np.int64)
-    last_gap = np.maximum.accumulate(np.where(~doubled, idx, -1))
-    runs = np.where(doubled, idx - last_gap, 0)
-    starts = last_gap + 1
-    runs[starts >= n] = 0  # runs starting in the second copy repeat earlier ones
-    best_len = int(runs.max())
+    gaps = np.flatnonzero(~zset.mask())
+    # The run after gap i ends at gap i + 1; the run after the last gap
+    # wraps past n - 1 to the first gap.
+    lengths = np.empty(len(gaps), dtype=np.int64)
+    np.subtract(gaps[1:], gaps[:-1] + 1, out=lengths[:-1])
+    lengths[-1] = n - 1 - gaps[-1] + gaps[0]
+    best_len = int(lengths.max())
     if not 1 <= best_len < n:
         raise InvariantError(f"run length {best_len} outside [1, {n})")
-    best_start = int(starts[runs == best_len].min())
+    best_start = int(((gaps[lengths == best_len] + 1) % n).min())
     return best_len + 1, best_start
 
 

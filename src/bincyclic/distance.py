@@ -1,6 +1,6 @@
 """Minimum-distance engines for binary cyclic codes.
 
-Two engines share one result type:
+Three engines share one result type:
 
 * :func:`exact_min_distance` enumerates every nonzero message in Gray
   order, so consecutive codewords differ by one XOR with a shifted copy
@@ -8,27 +8,41 @@ Two engines share one result type:
   block of XOR combinations kept as a bit-packed matrix; one numpy
   popcount sweep scores a whole block.  Exact, and independent of the
   number of workers.
+* :func:`proven_min_distance` enumerates systematic messages by
+  information weight on one window of k consecutive positions.  Any k
+  cyclically consecutive positions form an information set, so every
+  weight-d word has a cyclic shift of information weight at most
+  floor(d*k/n); the enumeration stops as soon as that bound closes.
+  Exact, with a :class:`DistanceCertificate` that
+  :func:`verify_distance_certificate` re-checks cheaply.
 * :func:`low_weight_search` repeatedly reduces the shift matrix of g on
   a random information set and scores all messages of weight <= depth.
   Fast for any dimension, returns an upper bound plus the run bound as
   ``proven_lower_bound``.
 
-:func:`auto_distance` picks whichever engine the dimension allows.
+:func:`auto_distance` picks between the exhaustive and search engines
+on dimension.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .codecore import CyclicCode, bch_lower_bound
-from .gf2 import poly_divrem
+from .codecore import CyclicCode, InvariantError, bch_lower_bound
+from .gf2 import poly_divrem, poly_to_bitstring
 
 #: per-worker scratch ceiling for the combination block, in bytes
 _BLOCK_BYTES = 16 << 20
+#: most subsets in one information-weight tail table, C(k, t) <= this
+_TAIL_SUBSETS = 1 << 16
+#: ceiling for the information-weight engine's (k, lanes) parity matrix
+_PARITY_BYTES = 64 << 20
 
 
 class BudgetExceeded(RuntimeError):
@@ -40,13 +54,37 @@ class SearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class DistanceCertificate:
+    """What an information-weight run proved, in re-checkable form.
+
+    Every systematic message of information weight <= ``enumerated_weight``
+    was scored; ``witness`` is the lightest word met (canonical when the
+    run was not cut off), and ``inequality`` is the arithmetic that
+    bounds the distance from both sides.
+    """
+
+    witness: int
+    enumerated_weight: int
+    inequality: str
+
+    def as_dict(self) -> dict:
+        return {
+            "witness_bits": poly_to_bitstring(self.witness),
+            "enumerated_weight": self.enumerated_weight,
+            "inequality": self.inequality,
+        }
+
+
+@dataclass(frozen=True)
 class DistanceResult:
     """Outcome of a distance computation.
 
-    ``exact_distance`` is set only by the exhaustive engine; the search
+    ``exact_distance`` is set by the exhaustive engine, and by the
+    information-weight engine whenever its bound closes; the search
     engine reports ``best_weight_found`` (an upper bound) together with
     ``proven_lower_bound`` (the run bound).  ``witness`` is a codeword
     of weight ``best_weight_found``, bit-packed little-endian.
+    ``certificate`` is set by the information-weight engine only.
     """
 
     method: str
@@ -56,11 +94,10 @@ class DistanceResult:
     witness: int
     iterations: int
     seed: Optional[int]
+    certificate: Optional[DistanceCertificate] = None
 
     def as_dict(self) -> dict:
-        from .gf2 import poly_to_bitstring
-
-        return {
+        out = {
             "method": self.method,
             "best_weight_found": self.best_weight_found,
             "exact_distance": self.exact_distance,
@@ -70,6 +107,20 @@ class DistanceResult:
             "iterations": self.iterations,
             "seed": self.seed,
         }
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.as_dict()
+        return out
+
+
+def _check_witness(code: CyclicCode, weight: int, witness: int) -> None:
+    """Raise :class:`InvariantError` unless ``witness`` is a nonzero
+    codeword of ``code`` of the given weight."""
+    if witness <= 0 or witness >> code.n:
+        raise InvariantError(f"witness must be a nonzero word of length {code.n}")
+    if witness.bit_count() != weight:
+        raise InvariantError(f"witness weight {witness.bit_count()} must equal {weight}")
+    if poly_divrem(witness, code.generator)[1] != 0:
+        raise InvariantError("witness must be divisible by the generator")
 
 
 def _pack_rows(code: CyclicCode) -> np.ndarray:
@@ -197,10 +248,9 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
         if w < best_w or (w == best_w and wit < best_wit):
             best_w, best_wit = w, wit
         scored += s
-    assert scored == (1 << k) - 1
-    assert best_wit.bit_count() == best_w
-    _, rem = poly_divrem(best_wit, code.generator)
-    assert rem == 0, "witness must be divisible by the generator"
+    if scored != (1 << k) - 1:
+        raise InvariantError(f"scored {scored} messages, expected 2^{k} - 1")
+    _check_witness(code, best_w, best_wit)
 
     return DistanceResult(
         method="exhaustive",
@@ -211,6 +261,190 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
         iterations=scored,
         seed=None,
     )
+
+
+def _systematic_parity(code: CyclicCode) -> np.ndarray:
+    """Parity parts x^(r+i) mod g (r = n - k, i < k) of the systematic
+    rows x^(r+i) + (x^(r+i) mod g), as a (k, lanes) array of uint64 lanes."""
+    k = code.dimension
+    r = code.n - k
+    g = code.generator
+    lanes = max(1, (r + 63) // 64)
+    out = np.empty((k, lanes), dtype=np.uint64)
+    p = g ^ (1 << r)  # x^r mod g, since deg g = r
+    for i in range(k):
+        out[i] = np.frombuffer(p.to_bytes(8 * lanes, "little"), dtype="<u8")
+        p <<= 1
+        if (p >> r) & 1:
+            p ^= g
+    return out
+
+
+def _extend_tails(tails: list, parity: np.ndarray) -> None:
+    """Append the table of all (t+1)-subsets to ``tails``.
+
+    ``tails[t - 1]`` is ``(xors, offsets)``: the parity XOR of every
+    t-subset of rows, sorted by first index, and ``offsets[j]``, the
+    position of the first subset whose first index is >= j.
+    """
+    k = parity.shape[0]
+    if not tails:
+        tails.append((parity, np.arange(k + 1)))
+        return
+    prev, prev_off = tails[-1]
+    blocks = [prev[prev_off[i + 1]:] ^ parity[i] for i in range(k)]
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in blocks], out=offsets[1:])
+    tails.append((np.concatenate(blocks), offsets))
+
+
+def _tail_subset(tails: list, t: int, idx: int) -> list[int]:
+    """Row indices of entry ``idx`` of the t-subset table."""
+    subset = []
+    for level in range(t, 0, -1):
+        offsets = tails[level - 1][1]
+        first = int(np.searchsorted(offsets, idx, side="right")) - 1
+        subset.append(first)
+        if level > 1:
+            idx = int(tails[level - 2][1][first + 1]) + idx - int(offsets[first])
+    return subset
+
+
+def _min_rotation(word: int, n: int) -> int:
+    """Smallest bit-packed value among the n cyclic shifts of ``word``."""
+    full = (1 << n) - 1
+    return min(((word >> s) | (word << (n - s))) & full for s in range(n))
+
+
+def _closing_bound(n: int, k: int, best: int, w: int, run: int) -> tuple[int, str]:
+    """Lower bound proved by a full pass to information weight w.
+
+    A word of weight d has a shift of information weight <= floor(d*k/n),
+    so a word missed by the pass has weight >= ceil((w+1)*n/k); words met
+    weigh >= best, and the run bound holds for all.
+    """
+    reach = -(-(w + 1) * n // k)
+    bound = min(best, max(run, reach))
+    text = f"min({best}, max({run}, ceil({w + 1}*{n}/{k}) = {reach})) = {bound} <= d <= {best}"
+    return bound, text
+
+
+def proven_min_distance(code: CyclicCode, *, max_weight: Optional[int] = None) -> DistanceResult:
+    """Minimum distance proved by cyclic information-weight enumeration.
+
+    Scores the systematic messages on the window of the last k positions
+    by information weight w = 1, 2, ...; a message's codeword weighs w
+    plus the popcount of its parity part.  Every weight-d word has a
+    cyclic shift of information weight <= floor(d*k/n), so the best
+    weight found is proved once floor((best - 1)*k/n) <= w.  The pass
+    goes on to w = floor(best*k/n), which meets every cyclic orbit of
+    minimum-weight words, and the witness is the smallest of their
+    shifts: the same canonical witness as :func:`exact_min_distance`.
+
+    ``max_weight`` cuts the pass off after that information weight; the
+    result then carries the lower bound the pass proved and sets
+    ``exact_distance`` only if that bound meets the best weight found.
+    ``iterations`` counts the combinations scored.  Memory stays bounded:
+    one table of parity XORs for each t <= t_max, the largest t with
+    C(k, t) <= 2^16; a heavier weight walks its (w - t_max)-prefixes and
+    scores each against the t_max table's tails after the prefix.
+    """
+    n, k = code.n, code.dimension
+    if max_weight is not None and max_weight < 1:
+        raise ValueError("max_weight must be >= 1")
+    r = n - k
+    if k * ((r + 63) // 64) * 8 > _PARITY_BYTES:
+        raise ValueError(
+            f"the {k} x {r}-bit parity matrix exceeds {_PARITY_BYTES >> 20} MB; "
+            "information-weight enumeration is out of reach at this size"
+        )
+    parity = _systematic_parity(code)
+    t_max = 1
+    while t_max < k and comb(k, t_max + 1) <= _TAIL_SUBSETS:
+        t_max += 1
+    limit = k if max_weight is None else min(k, max_weight)
+
+    tails: list = []
+    best_w, best_wit = 1 << 30, 0
+    scored = 0
+    w_done = 0
+    for w in range(1, limit + 1):
+        if w > best_w * k // n:
+            break
+        t = min(w, t_max)
+        if len(tails) < t:
+            _extend_tails(tails, parity)
+        table, offsets = tails[t - 1]
+        for head in combinations(range(k - t), w - t):
+            start = int(offsets[head[-1] + 1]) if head else 0
+            block = table[start:]
+            if head:
+                block = block ^ np.bitwise_xor.reduce(parity[list(head)], axis=0)
+            if block.shape[1] == 1:
+                counts = np.bitwise_count(block[:, 0])
+            else:
+                counts = np.bitwise_count(block).sum(axis=1)
+            scored += len(block)
+            low = int(counts.min()) + w
+            if low > best_w:
+                continue
+            canon = best_wit if low == best_w else 1 << n
+            head_bits = sum(1 << (r + i) for i in head)
+            for hit in np.flatnonzero(counts == low - w).tolist():
+                info = head_bits
+                for i in _tail_subset(tails, t, start + hit):
+                    info |= 1 << (r + i)
+                word = info | _lanes_to_int(block[hit])
+                canon = min(canon, _min_rotation(word, n))
+            best_w, best_wit = low, canon
+        w_done = w
+
+    if scored != sum(comb(k, w) for w in range(1, w_done + 1)):
+        raise InvariantError(f"scored {scored} combinations, expected all of weight <= {w_done}")
+    _check_witness(code, best_w, best_wit)
+    bound, inequality = _closing_bound(n, k, best_w, w_done, bch_lower_bound(code.defining_set))
+    return DistanceResult(
+        method="information-weight",
+        best_weight_found=best_w,
+        exact_distance=best_w if bound == best_w else None,
+        proven_lower_bound=bound,
+        witness=best_wit,
+        iterations=scored,
+        seed=None,
+        certificate=DistanceCertificate(best_wit, w_done, inequality),
+    )
+
+
+def verify_distance_certificate(code: CyclicCode, result: DistanceResult) -> None:
+    """Re-check a distance result cheaply; raise :class:`InvariantError`.
+
+    The witness must be a nonzero codeword of weight ``best_weight_found``.
+    When the result carries a certificate, its witness must be the
+    result's, and the closing bound must re-derive from the code's run
+    bound and the enumerated weight to ``proven_lower_bound``, with
+    ``exact_distance`` set exactly when that bound meets the witness.
+    """
+    _check_witness(code, result.best_weight_found, result.witness)
+    cert = result.certificate
+    if cert is None:
+        return
+    n, k, best = code.n, code.dimension, result.best_weight_found
+    if cert.witness != result.witness:
+        raise InvariantError("certificate witness differs from the result's")
+    if not 1 <= cert.enumerated_weight <= k:
+        raise InvariantError(f"enumerated weight {cert.enumerated_weight} outside [1, {k}]")
+    bound, inequality = _closing_bound(
+        n, k, best, cert.enumerated_weight, bch_lower_bound(code.defining_set)
+    )
+    if (bound, inequality) != (result.proven_lower_bound, cert.inequality):
+        raise InvariantError(
+            f"certificate does not close: expected {inequality!r}, got {cert.inequality!r} "
+            f"with proven lower bound {result.proven_lower_bound}"
+        )
+    if result.exact_distance != (best if bound == best else None):
+        raise InvariantError(
+            f"exact distance {result.exact_distance} is not proved by {inequality!r}"
+        )
 
 
 def low_weight_search(
@@ -278,9 +512,7 @@ def low_weight_search(
                         if w < best_w or (w == best_w and word < best_wit):
                             best_w, best_wit = w, word
 
-    _, rem = poly_divrem(best_wit, code.generator)
-    assert rem == 0, "witness must be divisible by the generator"
-    assert best_wit.bit_count() == best_w
+    _check_witness(code, best_w, best_wit)
 
     return DistanceResult(
         method="search",

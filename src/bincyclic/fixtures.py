@@ -2,10 +2,10 @@
 
 Each fixture names one construction, its parameters, and the recorded
 reference values for the resulting code(s): pinned defining sets,
-dimensions, run bounds, exact distances (where an exhaustive run is
-affordable) and search weights (where it is not).  ``run_fixture``
-rebuilds the construction and compares, row by row; nothing here
-touches the network or the filesystem.
+dimensions, run bounds, exact distances (proved by the information-weight
+engine, where its enumeration is affordable) and search weights (where
+it is not).  ``run_fixture`` rebuilds the construction and compares, row
+by row; nothing here touches the network or the filesystem.
 
 Row vocabulary per expected code:
 
@@ -16,7 +16,8 @@ Row vocabulary per expected code:
   bch_floor      bch_lower_bound(Z) >= floor (weakest recorded claim)
   bch_floor_strict  a sharper floor recorded alongside, same check
   bch_computed   bch_lower_bound(Z) == recorded value (regression pin)
-  distance       exhaustive exact distance, equality
+  distance       exact distance proved by ``proven_min_distance``, equality;
+                 its certificate is re-checked (a failed check raises)
   search_weight  best_weight_found of the seeded search == recorded value
 
 Labels ending in "-dual" refer to the dual of the like-named primal
@@ -33,7 +34,7 @@ from typing import Optional
 
 from .codecore import assemble, bch_run, dual_defining_set
 from .constructions import DefiningSet, build_family
-from .distance import exact_min_distance, low_weight_search
+from .distance import low_weight_search, proven_min_distance, verify_distance_certificate
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,12 @@ def _build_sets(fx: Fixture):
     return build_family(fx.construction, **dict(fx.params))
 
 
-def run_fixture(fx: Fixture, *, threads: int = 1) -> FixtureReport:
-    """Rebuild one fixture and compare every recorded value."""
+def run_fixture(fx: Fixture) -> FixtureReport:
+    """Rebuild one fixture and compare every recorded value.
+
+    A distance certificate that fails its re-check raises
+    :class:`~bincyclic.codecore.InvariantError`.
+    """
     t_start = time.perf_counter()
     rows: list[CheckRow] = []
 
@@ -177,7 +182,9 @@ def run_fixture(fx: Fixture, *, threads: int = 1) -> FixtureReport:
                 if want is not None:
                     rows.append(CheckRow(exp.label, name, want, delta, holds(delta, want)))
         if exp.distance is not None:
-            result = exact_min_distance(code_for(exp.label), threads=threads)
+            code = code_for(exp.label)
+            result = proven_min_distance(code)
+            verify_distance_certificate(code, result)
             rows.append(
                 CheckRow(
                     exp.label,
@@ -348,7 +355,7 @@ FIXTURES: tuple[Fixture, ...] = (
             ("p2_preimage", EXAMPLE2_P2_PREIMAGE),
         ),
         slow=True,
-        note="Four exhaustive runs up to 2^33 codewords; Z2 as recorded omits residue 7.",
+        note="Four information-weight proofs at k = 30..33; Z2 as recorded omits residue 7.",
     ),
     _even_m_fixture(6, (7, 10, 9, 8)),
     _even_m_fixture(8, (15, 18, 17, 16)),

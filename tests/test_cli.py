@@ -180,6 +180,27 @@ class TestAnalyze:
         assert payload["distance"]["seed"] == 9
         assert payload["distance"]["iterations"] == 50
 
+    def test_proof_engine_ignores_budget_and_threads(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, SQRT_M5_Z))))
+        rc = run_command(
+            ["analyze", "--m", "5", "--engine", "proof", "--budget", "1",
+             "--threads", "3", "--json"]
+        )
+        assert rc == 0
+        dist = json.loads(capsys.readouterr().out)["distance"]
+        assert dist["method"] == "information-weight"
+        assert dist["exact_distance"] == dist["proven_lower_bound"] == 7
+        assert dist["certificate"]["enumerated_weight"] == 3
+        assert dist["certificate"]["witness_bits"] == dist["witness_bits"]
+
+    def test_proof_engine_human_output(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 4 8"))
+        assert run_command(["analyze", "--m", "4", "--engine", "proof"]) == 0
+        out = capsys.readouterr().out
+        assert "distance engine  : information-weight" in out
+        assert "exact distance   : 3" in out
+        assert "certificate      : min(3, " in out
+
 
 class TestVerifyPaper:
     def test_example1_passes(self, capsys):
@@ -244,6 +265,14 @@ class TestExport:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["distance"]["exact_distance"] == 3
+        assert payload["code"]["generator_bits"] is not None
+
+    def test_proof_engine_includes_distance_and_certificate(self, capsys):
+        rc = run_command(["export", "two-prime", "--p", "3", "--engine", "proof"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["distance"]["exact_distance"] == 12
+        assert payload["distance"]["certificate"]["enumerated_weight"] == 6
         assert payload["code"]["generator_bits"] is not None
 
     def test_output_file(self, capsys, tmp_path):

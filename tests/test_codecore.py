@@ -351,6 +351,69 @@ class TestBchRun:
         assert bch_lower_bound(z) == bch_run(z)[0]
 
 
+def _tiled_bch_run(zset):
+    """The earlier bch_run, kept as the oracle: tile the mask to 2n and
+    measure every run that starts in the first copy."""
+    n = zset.n
+    if len(zset) == 0:
+        return 1, None
+    if len(zset) == n:
+        raise DegenerateCodeError("defining set is all of Z_n")
+    doubled = np.tile(zset.mask(), 2)
+    idx = np.arange(2 * n, dtype=np.int64)
+    last_gap = np.maximum.accumulate(np.where(~doubled, idx, -1))
+    runs = np.where(doubled, idx - last_gap, 0)
+    starts = last_gap + 1
+    runs[starts >= n] = 0
+    best_len = int(runs.max())
+    return best_len + 1, int(starts[runs == best_len].min())
+
+
+def _raw_set(mask):
+    # bch_run reads only the mask, so arbitrary (unclosed) sets test it too
+    return DefiningSet(n=len(mask), elements=np.flatnonzero(mask), origin={})
+
+
+class TestBchRunFromGaps:
+    def test_random_masks_match_the_tiled_oracle(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            n = int(rng.integers(2, 200))
+            mask = rng.random(n) < rng.random()
+            if mask.all():
+                continue
+            z = _raw_set(mask)
+            assert bch_run(z) == _tiled_bch_run(z), np.flatnonzero(mask).tolist()
+
+    def test_closed_sets_match_the_tiled_oracle(self):
+        for m in (3, 4, 5, 6, 8):
+            for z in _random_proper_sets(m, 8, seed=70 + m):
+                assert bch_run(z) == _tiled_bch_run(z)
+
+    @pytest.mark.parametrize(
+        "n,elements,want",
+        [
+            (15, (12, 13, 14, 0, 1, 5, 6, 7, 8), (6, 12)),  # run wraps past n - 1
+            (15, (13, 14, 0, 1, 5, 6, 7, 8), (5, 5)),  # wrapped tie: 5 < 13
+            (15, tuple(range(15)[1:]), (15, 1)),  # one gap, at 0
+            (15, tuple(x for x in range(15) if x != 9), (15, 10)),  # one gap, mid-circle
+            (15, tuple(x for x in range(15) if x != 14), (15, 0)),  # one gap, at n - 1
+            (15, (), (1, None)),  # Z empty
+            (1, (), (1, None)),
+        ],
+    )
+    def test_edge_cases(self, n, elements, want):
+        mask = np.zeros(n, dtype=bool)
+        mask[list(elements)] = True
+        z = _raw_set(mask)
+        assert bch_run(z) == want == _tiled_bch_run(z)
+
+    def test_all_of_z_n_raises(self):
+        for n in (1, 2, 15):
+            with pytest.raises(DegenerateCodeError):
+                bch_run(_raw_set(np.ones(n, dtype=bool)))
+
+
 class TestDescribe:
     def test_plain_report(self):
         report = describe(_set(15, EXAMPLE1_Z1))

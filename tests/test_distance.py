@@ -1,11 +1,23 @@
-"""Distance engines: exact enumeration, seeded search, and the dispatcher."""
+"""Distance engines: exact enumeration, information-weight proof, seeded
+search, and the dispatcher."""
 
+import dataclasses
+import functools
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bincyclic.codecore import assemble, dual_defining_set
+import bincyclic
+from bincyclic.cli import run_command
+from bincyclic.codecore import InvariantError, assemble, bch_lower_bound, dual_defining_set
 from bincyclic.constructions import (
     DefiningSet,
     build_sqrt_complement,
@@ -18,8 +30,10 @@ from bincyclic.distance import (
     auto_distance,
     exact_min_distance,
     low_weight_search,
+    proven_min_distance,
+    verify_distance_certificate,
 )
-from bincyclic.fixtures import EXAMPLE1_Z1, EXAMPLE1_Z2
+from bincyclic.fixtures import EXAMPLE1_Z1, EXAMPLE1_Z2, EXAMPLE2_Z1
 from bincyclic.gf2 import poly_divrem
 
 
@@ -222,3 +236,255 @@ class TestResultSerialization:
         assert blob["exact_distance"] == 3
         assert blob["witness_weight"] == 3
         assert blob["witness_bits"].count("1") == 3
+
+
+# -- the information-weight proof engine ----------------------------------
+
+
+def _random_codes(m, count, k_max, seed):
+    """Seeded doubling-closed sets over n = 2^m - 1 with 1 <= k <= k_max."""
+    n = 2**m - 1
+    table = build_table(m)
+    leaders = list(table.leaders)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        picked = rng.sample(leaders, rng.randrange(1, len(leaders)))
+        mask = table.union_mask(picked)
+        k = n - int(mask.sum())
+        if 1 <= k <= k_max:
+            out.append(assemble(DefiningSet.from_mask(n, mask, {"construction": "random"})))
+    return out
+
+
+def _iterations_through(k, w):
+    return sum(math.comb(k, j) for j in range(1, w + 1))
+
+
+class TestProofEngine:
+    @pytest.mark.parametrize(
+        "m,count,k_max,seed",
+        [(4, 12, 20, 61), (5, 15, 20, 62), (6, 15, 20, 63), (7, 6, 12, 64)],
+    )
+    def test_matches_gray_sweep(self, m, count, k_max, seed):
+        # m = 7 has parity parts of 115..126 bits: two uint64 lanes
+        for code in _random_codes(m, count, k_max, seed):
+            got = proven_min_distance(code)
+            want = exact_min_distance(code)
+            assert (got.exact_distance, got.witness) == (want.exact_distance, want.witness), code
+            verify_distance_certificate(code, got)
+
+    @pytest.mark.parametrize("tail_subsets", [1, 40, 600])
+    def test_any_tail_table_size_gives_the_same_answer(self, monkeypatch, tail_subsets):
+        # small tables push every weight above t_max through the prefix walk
+        codes = _random_codes(5, 6, 20, 65) + _random_codes(7, 3, 12, 66)
+        want = [proven_min_distance(code) for code in codes]
+        monkeypatch.setattr("bincyclic.distance._TAIL_SUBSETS", tail_subsets)
+        for code, ref in zip(codes, want):
+            got = proven_min_distance(code)
+            assert (got.exact_distance, got.witness, got.iterations) == (
+                ref.exact_distance, ref.witness, ref.iterations,
+            )
+            assert got.witness == exact_min_distance(code).witness
+
+    def test_canonical_witness_found_only_as_a_shift(self):
+        # [63,24,12]: no weight-12 word met on the window is itself the
+        # canonical witness; the minimum over their cyclic shifts is
+        table = build_table(6)
+        mask = table.union_mask([0, 3, 9, 11, 15, 21, 23, 27, 31])
+        code = assemble(DefiningSet.from_mask(63, mask, {"construction": "random"}))
+        got, want = proven_min_distance(code), exact_min_distance(code)
+        assert (got.exact_distance, got.witness) == (want.exact_distance, want.witness)
+        window = ((1 << code.dimension) - 1) << (code.n - code.dimension)
+        assert (got.witness & window).bit_count() > got.certificate.enumerated_weight
+
+    def test_matches_naive_reencoder(self):
+        for m, seed in ((3, 71), (4, 72), (5, 73)):
+            for code in _random_codes(m, 10, 14, seed):
+                got = proven_min_distance(code)
+                assert (got.exact_distance, got.witness) == _naive_min_distance(code)
+
+    def test_empty_defining_set_is_the_full_space(self):
+        code = _code(15, ())
+        result = proven_min_distance(code)
+        assert (result.exact_distance, result.witness) == (1, 1)
+        verify_distance_certificate(code, result)
+
+    def test_dimension_one_is_the_repetition_code(self):
+        code = _code(7, (1, 2, 3, 4, 5, 6))
+        result = proven_min_distance(code)
+        assert (result.exact_distance, result.witness) == (7, (1 << 7) - 1)
+        assert result.iterations == 1
+
+    def test_recorded_distances(self):
+        z1 = DefiningSet.from_elements(15, EXAMPLE1_Z1)
+        z2 = DefiningSet.from_elements(15, EXAMPLE1_Z2)
+        sqrt, _ = build_sqrt_complement(5)
+        two_prime, _ = build_two_prime(3)
+        cases = [
+            (z1, 3), (dual_defining_set(z1), 6), (z2, 5), (dual_defining_set(z2), 4),
+            (sqrt, 7), (dual_defining_set(sqrt), 8), (two_prime, 12),
+        ]
+        for zset, d in cases:
+            code = assemble(zset)
+            result = proven_min_distance(code)
+            assert result.exact_distance == d == result.proven_lower_bound
+            verify_distance_certificate(code, result)
+
+    def test_result_shape_and_certificate(self, code_63_32):
+        result = proven_min_distance(code_63_32)
+        assert result.method == "information-weight"
+        assert result.seed is None
+        cert = result.certificate
+        # 12 * 32 // 63 = 6: the pass goes to weight 6 for the canonical witness
+        assert cert.enumerated_weight == 6
+        assert cert.witness == result.witness
+        assert result.iterations == _iterations_through(32, 6)
+        assert cert.inequality == "min(12, max(12, ceil(7*63/32) = 14)) = 12 <= d <= 12"
+        blob = json.loads(json.dumps(result.as_dict()))
+        assert blob["certificate"] == {
+            "witness_bits": blob["witness_bits"],
+            "enumerated_weight": 6,
+            "inequality": cert.inequality,
+        }
+
+    def test_other_engines_add_no_certificate_key(self):
+        code = _code(15, EXAMPLE1_Z1)
+        assert exact_min_distance(code).certificate is None
+        assert "certificate" not in exact_min_distance(code).as_dict()
+        assert "certificate" not in low_weight_search(code, seed=1, iterations=3).as_dict()
+
+    def test_truncated_run_reports_what_it_proved(self):
+        # Example 2's [63,30,12]: run bound 10, and weight 12 first met at w = 2
+        code = assemble(dual_defining_set(DefiningSet.from_elements(63, EXAMPLE2_Z1)))
+        cut = proven_min_distance(code, max_weight=2)
+        assert cut.certificate.enumerated_weight == 2
+        assert cut.iterations == _iterations_through(30, 2)
+        assert cut.proven_lower_bound == 10  # max(run 10, ceil(3*63/30) = 7)
+        assert cut.exact_distance is None
+        assert cut.best_weight_found >= 12
+        verify_distance_certificate(code, cut)
+        assert proven_min_distance(code, max_weight=5).exact_distance == 12
+
+    def test_refuses_a_parity_matrix_past_its_ceiling(self, monkeypatch, code_63_32):
+        # [63,32]: 32 rows of one 64-bit lane, 256 bytes
+        monkeypatch.setattr("bincyclic.distance._PARITY_BYTES", 255)
+        with pytest.raises(ValueError, match="32 x 31-bit parity matrix"):
+            proven_min_distance(code_63_32)
+
+    @pytest.mark.parametrize("max_weight", [0, -3])
+    def test_rejects_bad_max_weight(self, max_weight):
+        with pytest.raises(ValueError, match="max_weight"):
+            proven_min_distance(_code(7, (1, 2, 4)), max_weight=max_weight)
+
+
+_PROPERTY_CODES = (
+    _random_codes(4, 4, 15, 81) + _random_codes(5, 4, 20, 82) + _random_codes(6, 4, 20, 83)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _true_distance(index):
+    return exact_min_distance(_PROPERTY_CODES[index]).exact_distance
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_bounds_bracket_the_distance(data):
+    index = data.draw(st.integers(0, len(_PROPERTY_CODES) - 1), label="code")
+    code = _PROPERTY_CODES[index]
+    max_weight = data.draw(st.integers(1, code.dimension + 2), label="max_weight")
+    result = proven_min_distance(code, max_weight=max_weight)
+    d = _true_distance(index)
+    run = bch_lower_bound(code.defining_set)
+    assert run <= result.proven_lower_bound <= d <= result.best_weight_found
+    assert result.certificate.enumerated_weight <= max_weight
+    closed = result.proven_lower_bound == result.best_weight_found
+    assert result.exact_distance == (d if closed else None)
+    verify_distance_certificate(code, result)
+
+
+class TestCertificateCheck:
+    @pytest.fixture(scope="class")
+    def proved(self):
+        code = assemble(build_sqrt_complement(5)[0])
+        return code, proven_min_distance(code)
+
+    def test_genuine_result_passes(self, proved):
+        verify_distance_certificate(*proved)
+
+    def test_exhaustive_result_is_checked_for_its_witness(self, proved):
+        code, _ = proved
+        verify_distance_certificate(code, exact_min_distance(code))
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            # same weight, not a codeword; the certificate is tampered alike
+            (
+                lambda r: {
+                    "witness": r.witness ^ 0b11,
+                    "certificate": dataclasses.replace(r.certificate, witness=r.witness ^ 0b11),
+                },
+                "divisible by the generator",
+            ),
+            (lambda r: {"best_weight_found": r.best_weight_found - 1}, "witness weight"),
+            (lambda r: {"witness": 0, "best_weight_found": 0}, "nonzero"),
+            (lambda r: {"proven_lower_bound": r.proven_lower_bound + 1}, "does not close"),
+            (lambda r: {"exact_distance": None}, "not proved"),
+            (
+                lambda r: {"certificate": dataclasses.replace(r.certificate, enumerated_weight=1)},
+                "does not close",
+            ),
+            (
+                lambda r: {"certificate": dataclasses.replace(r.certificate, enumerated_weight=99)},
+                "outside",
+            ),
+            (
+                lambda r: {"certificate": dataclasses.replace(r.certificate, witness=r.witness << 1)},
+                "differs",
+            ),
+        ],
+    )
+    def test_tampered_results_raise(self, proved, change, message):
+        code, result = proved
+        bad = dataclasses.replace(result, **change(result))
+        with pytest.raises(InvariantError, match=message):
+            verify_distance_certificate(code, bad)
+
+
+OPTIMIZED_VERIFY_SCRIPT = """
+import dataclasses
+import bincyclic.fixtures as fx
+from bincyclic.cli import run_command
+if __debug__:
+    raise SystemExit("not running under -O")
+print("clean exit", run_command(["verify-paper", "--fixture", "sqrt-m5", "--json"]))
+real = fx.proven_min_distance
+fx.proven_min_distance = lambda code: dataclasses.replace(real(code), witness=real(code).witness ^ 1)
+print("tampered exit", run_command(["verify-paper", "--fixture", "sqrt-m5"]))
+"""
+
+
+class TestVerifyPaperInvariants:
+    def test_verify_paper_under_python_O(self):
+        src = Path(bincyclic.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_VERIFY_SCRIPT],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert "clean exit 0" in proc.stdout and '"ok": false' not in proc.stdout
+        assert "tampered exit 1" in proc.stdout
+        assert "error: witness" in proc.stderr
+
+    def test_non_codeword_witness_exits_1(self, monkeypatch, capsys):
+        real = proven_min_distance
+
+        def tampered(code):
+            result = real(code)
+            return dataclasses.replace(result, witness=result.witness ^ 1)
+
+        monkeypatch.setattr("bincyclic.fixtures.proven_min_distance", tampered)
+        assert run_command(["verify-paper", "--fixture", "sqrt-m5"]) == 1
+        assert capsys.readouterr().err.startswith("error: witness")
