@@ -3,9 +3,9 @@ proof and seeded search.
 
 The exhaustive engine walks all 2^k - 1 nonzero messages in Gray-code
 order (one row-XOR per codeword) and is exact up to its dimension
-budget.  The information-weight engine proves the same distance and
-witness from far fewer messages, because every weight-d word of a cyclic
-code has a shift of information weight <= floor(d*k/n).  Above that, the
+budget.  The information-weight engine proves the same distance from
+far fewer messages, because every weight-d word of a cyclic code has a
+shift of information weight <= floor(d*k/n).  Above that, the
 randomized information-set search gives an upper bound, with the run
 bound as the proven floor.
 """
@@ -42,7 +42,7 @@ def main():
     print(f"[{dual.n},{dual.dimension}] exact d = "
           f"{exact_min_distance(dual).exact_distance}")
 
-    # [63,32]: 2^32 messages for the sweep; the proof scores about a million
+    # [63,32]: 2^32 messages for the sweep; the proof scores about 240,000
     z3, _ = build_two_prime(3)
     code3 = assemble(z3)
     t0 = time.perf_counter()

@@ -39,10 +39,12 @@ from .gf2 import poly_divrem, poly_to_bitstring
 
 #: per-worker scratch ceiling for the combination block, in bytes
 _BLOCK_BYTES = 16 << 20
-#: most subsets in one information-weight tail table, C(k, t) <= this
-_TAIL_SUBSETS = 1 << 16
+#: most uint64 words in one information-weight tail table, C(k, t) * lanes
+_TAIL_WORDS = 1 << 16
 #: ceiling for the information-weight engine's (k, lanes) parity matrix
 _PARITY_BYTES = 64 << 20
+#: most combinations an information-weight proof may score
+_PROOF_COMBINATIONS = 1 << 29
 
 
 class BudgetExceeded(RuntimeError):
@@ -58,18 +60,15 @@ class DistanceCertificate:
     """What an information-weight run proved, in re-checkable form.
 
     Every systematic message of information weight <= ``enumerated_weight``
-    was scored; ``witness`` is the lightest word met (canonical when the
-    run was not cut off), and ``inequality`` is the arithmetic that
-    bounds the distance from both sides.
+    was scored, and ``inequality`` shows that this weight reaches
+    floor((d - 1)*k/n), so no word lighter than the witness was missed.
     """
 
-    witness: int
     enumerated_weight: int
     inequality: str
 
     def as_dict(self) -> dict:
         return {
-            "witness_bits": poly_to_bitstring(self.witness),
             "enumerated_weight": self.enumerated_weight,
             "inequality": self.inequality,
         }
@@ -79,11 +78,11 @@ class DistanceCertificate:
 class DistanceResult:
     """Outcome of a distance computation.
 
-    ``exact_distance`` is set by the exhaustive engine, and by the
-    information-weight engine whenever its bound closes; the search
-    engine reports ``best_weight_found`` (an upper bound) together with
-    ``proven_lower_bound`` (the run bound).  ``witness`` is a codeword
-    of weight ``best_weight_found``, bit-packed little-endian.
+    ``exact_distance`` is set by the exhaustive and information-weight
+    engines; the search engine reports ``best_weight_found`` (an upper
+    bound) together with ``proven_lower_bound`` (the run bound).
+    ``witness`` is a codeword of weight ``best_weight_found``, bit-packed
+    little-endian.
     ``certificate`` is set by the information-weight engine only.
     """
 
@@ -310,67 +309,70 @@ def _tail_subset(tails: list, t: int, idx: int) -> list[int]:
     return subset
 
 
-def _min_rotation(word: int, n: int) -> int:
-    """Smallest bit-packed value among the n cyclic shifts of ``word``."""
-    full = (1 << n) - 1
-    return min(((word >> s) | (word << (n - s))) & full for s in range(n))
+def _combinations_through(k: int, w: int) -> int:
+    """Number of nonzero messages of information weight <= w."""
+    return sum(comb(k, j) for j in range(1, w + 1))
 
 
-def _closing_bound(n: int, k: int, best: int, w: int, run: int) -> tuple[int, str]:
-    """Lower bound proved by a full pass to information weight w.
+def _refuse_past_limit(n: int, k: int, w: int) -> None:
+    """Raise ``ValueError`` if scoring every message of information
+    weight <= w takes more than ``_PROOF_COMBINATIONS`` combinations."""
+    need = 0
+    for j in range(1, w + 1):
+        need += comb(k, j)
+        if need > _PROOF_COMBINATIONS:
+            raise ValueError(
+                f"proving the distance of this [{n},{k}] code scores every message "
+                f"of information weight <= {w}, more than the limit of "
+                f"2^{_PROOF_COMBINATIONS.bit_length() - 1} combinations"
+            )
 
-    A word of weight d has a shift of information weight <= floor(d*k/n),
-    so a word missed by the pass has weight >= ceil((w+1)*n/k); words met
-    weigh >= best, and the run bound holds for all.
-    """
-    reach = -(-(w + 1) * n // k)
-    bound = min(best, max(run, reach))
-    text = f"min({best}, max({run}, ceil({w + 1}*{n}/{k}) = {reach})) = {bound} <= d <= {best}"
-    return bound, text
+
+def _closing_inequality(n: int, k: int, best: int, w: int) -> str:
+    return f"floor(({best}-1)*{k}/{n}) = {(best - 1) * k // n} <= {w}"
 
 
-def proven_min_distance(code: CyclicCode, *, max_weight: Optional[int] = None) -> DistanceResult:
+def proven_min_distance(code: CyclicCode) -> DistanceResult:
     """Minimum distance proved by cyclic information-weight enumeration.
 
     Scores the systematic messages on the window of the last k positions
     by information weight w = 1, 2, ...; a message's codeword weighs w
     plus the popcount of its parity part.  Every weight-d word has a
     cyclic shift of information weight <= floor(d*k/n), so the best
-    weight found is proved once floor((best - 1)*k/n) <= w.  The pass
-    goes on to w = floor(best*k/n), which meets every cyclic orbit of
-    minimum-weight words, and the witness is the smallest of their
-    shifts: the same canonical witness as :func:`exact_min_distance`.
+    weight found is the distance once floor((best - 1)*k/n) <= w, and
+    the pass stops there.  The witness is the first lightest word met.
 
-    ``max_weight`` cuts the pass off after that information weight; the
-    result then carries the lower bound the pass proved and sets
-    ``exact_distance`` only if that bound meets the best weight found.
-    ``iterations`` counts the combinations scored.  Memory stays bounded:
-    one table of parity XORs for each t <= t_max, the largest t with
-    C(k, t) <= 2^16; a heavier weight walks its (w - t_max)-prefixes and
-    scores each against the t_max table's tails after the prefix.
+    ``iterations`` counts the combinations scored.  A code whose proof
+    needs more than 2^29 of them is refused with ``ValueError``: up
+    front when the run bound already implies it, else before the weight
+    that would cross the limit.  Memory stays bounded: one table of
+    parity XORs for each t <= t_max, the largest t whose table holds at
+    most 2^16 uint64 words; a heavier weight walks its (w - t_max)-prefixes
+    and scores each against the t_max table's tails after the prefix.
     """
     n, k = code.n, code.dimension
-    if max_weight is not None and max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
     r = n - k
-    if k * ((r + 63) // 64) * 8 > _PARITY_BYTES:
+    lanes = max(1, (r + 63) // 64)
+    if k * lanes * 8 > _PARITY_BYTES:
         raise ValueError(
             f"the {k} x {r}-bit parity matrix exceeds {_PARITY_BYTES >> 20} MB; "
             "information-weight enumeration is out of reach at this size"
         )
+    # every proof enumerates at least to floor((run - 1)*k/n), as best >= run
+    _refuse_past_limit(n, k, (bch_lower_bound(code.defining_set) - 1) * k // n)
     parity = _systematic_parity(code)
     t_max = 1
-    while t_max < k and comb(k, t_max + 1) <= _TAIL_SUBSETS:
+    while t_max < k and comb(k, t_max + 1) * lanes <= _TAIL_WORDS:
         t_max += 1
-    limit = k if max_weight is None else min(k, max_weight)
 
     tails: list = []
     best_w, best_wit = 1 << 30, 0
     scored = 0
     w_done = 0
-    for w in range(1, limit + 1):
-        if w > best_w * k // n:
+    for w in range(1, k + 1):
+        if w > (best_w - 1) * k // n:
             break
+        _refuse_past_limit(n, k, w)
         t = min(w, t_max)
         if len(tails) < t:
             _extend_tails(tails, parity)
@@ -380,38 +382,32 @@ def proven_min_distance(code: CyclicCode, *, max_weight: Optional[int] = None) -
             block = table[start:]
             if head:
                 block = block ^ np.bitwise_xor.reduce(parity[list(head)], axis=0)
-            if block.shape[1] == 1:
+            if lanes == 1:
                 counts = np.bitwise_count(block[:, 0])
             else:
                 counts = np.bitwise_count(block).sum(axis=1)
             scored += len(block)
-            low = int(counts.min()) + w
-            if low > best_w:
-                continue
-            canon = best_wit if low == best_w else 1 << n
-            head_bits = sum(1 << (r + i) for i in head)
-            for hit in np.flatnonzero(counts == low - w).tolist():
-                info = head_bits
+            hit = int(np.argmin(counts))
+            if int(counts[hit]) + w < best_w:
+                best_w = int(counts[hit]) + w
+                info = sum(1 << (r + i) for i in head)
                 for i in _tail_subset(tails, t, start + hit):
                     info |= 1 << (r + i)
-                word = info | _lanes_to_int(block[hit])
-                canon = min(canon, _min_rotation(word, n))
-            best_w, best_wit = low, canon
+                best_wit = info | _lanes_to_int(block[hit])
         w_done = w
 
-    if scored != sum(comb(k, w) for w in range(1, w_done + 1)):
+    if scored != _combinations_through(k, w_done):
         raise InvariantError(f"scored {scored} combinations, expected all of weight <= {w_done}")
     _check_witness(code, best_w, best_wit)
-    bound, inequality = _closing_bound(n, k, best_w, w_done, bch_lower_bound(code.defining_set))
     return DistanceResult(
         method="information-weight",
         best_weight_found=best_w,
-        exact_distance=best_w if bound == best_w else None,
-        proven_lower_bound=bound,
+        exact_distance=best_w,
+        proven_lower_bound=best_w,
         witness=best_wit,
         iterations=scored,
         seed=None,
-        certificate=DistanceCertificate(best_wit, w_done, inequality),
+        certificate=DistanceCertificate(w_done, _closing_inequality(n, k, best_w, w_done)),
     )
 
 
@@ -419,31 +415,28 @@ def verify_distance_certificate(code: CyclicCode, result: DistanceResult) -> Non
     """Re-check a distance result cheaply; raise :class:`InvariantError`.
 
     The witness must be a nonzero codeword of weight ``best_weight_found``.
-    When the result carries a certificate, its witness must be the
-    result's, and the closing bound must re-derive from the code's run
-    bound and the enumerated weight to ``proven_lower_bound``, with
-    ``exact_distance`` set exactly when that bound meets the witness.
+    When the result carries a certificate, the enumerated weight must
+    reach floor((best - 1)*k/n), the inequality must read so, and the
+    result must claim ``best_weight_found`` as its exact distance and
+    lower bound.
     """
     _check_witness(code, result.best_weight_found, result.witness)
     cert = result.certificate
     if cert is None:
         return
     n, k, best = code.n, code.dimension, result.best_weight_found
-    if cert.witness != result.witness:
-        raise InvariantError("certificate witness differs from the result's")
-    if not 1 <= cert.enumerated_weight <= k:
-        raise InvariantError(f"enumerated weight {cert.enumerated_weight} outside [1, {k}]")
-    bound, inequality = _closing_bound(
-        n, k, best, cert.enumerated_weight, bch_lower_bound(code.defining_set)
-    )
-    if (bound, inequality) != (result.proven_lower_bound, cert.inequality):
+    w = cert.enumerated_weight
+    if not 1 <= w <= k:
+        raise InvariantError(f"enumerated weight {w} outside [1, {k}]")
+    inequality = _closing_inequality(n, k, best, w)
+    if (best - 1) * k // n > w or cert.inequality != inequality:
         raise InvariantError(
-            f"certificate does not close: expected {inequality!r}, got {cert.inequality!r} "
-            f"with proven lower bound {result.proven_lower_bound}"
+            f"certificate does not close: {inequality!r} must hold, got {cert.inequality!r}"
         )
-    if result.exact_distance != (best if bound == best else None):
+    if result.exact_distance != best or result.proven_lower_bound != best:
         raise InvariantError(
-            f"exact distance {result.exact_distance} is not proved by {inequality!r}"
+            f"exact distance {result.exact_distance} and lower bound "
+            f"{result.proven_lower_bound} are not proved to be {best}"
         )
 
 

@@ -190,8 +190,9 @@ class TestAnalyze:
         dist = json.loads(capsys.readouterr().out)["distance"]
         assert dist["method"] == "information-weight"
         assert dist["exact_distance"] == dist["proven_lower_bound"] == 7
-        assert dist["certificate"]["enumerated_weight"] == 3
-        assert dist["certificate"]["witness_bits"] == dist["witness_bits"]
+        assert dist["certificate"] == {
+            "enumerated_weight": 3, "inequality": "floor((7-1)*16/31) = 3 <= 3",
+        }
 
     def test_proof_engine_human_output(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 4 8"))
@@ -199,7 +200,7 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "distance engine  : information-weight" in out
         assert "exact distance   : 3" in out
-        assert "certificate      : min(3, " in out
+        assert "certificate      : floor((3-1)*11/15) = 1 <= 1" in out
 
 
 class TestVerifyPaper:
@@ -272,8 +273,21 @@ class TestExport:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["distance"]["exact_distance"] == 12
-        assert payload["distance"]["certificate"]["enumerated_weight"] == 6
+        assert payload["distance"]["certificate"]["enumerated_weight"] == 5
         assert payload["code"]["generator_bits"] is not None
+
+    def test_proof_engine_refuses_a_proof_past_its_limit(self, capsys):
+        # [127,64] with run bound 15: any proof scores all C(64, <= 7) messages
+        rc = run_command(
+            ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "proof"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: proving the distance of this [127,64] code scores every message of "
+            "information weight <= 7, more than the limit of 2^29 combinations\n"
+        )
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

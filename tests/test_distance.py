@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from bincyclic.constructions import (
 from bincyclic.cosets import build_table
 from bincyclic.distance import (
     BudgetExceeded,
+    DistanceCertificate,
     auto_distance,
     exact_min_distance,
     low_weight_search,
@@ -270,39 +272,27 @@ class TestProofEngine:
         # m = 7 has parity parts of 115..126 bits: two uint64 lanes
         for code in _random_codes(m, count, k_max, seed):
             got = proven_min_distance(code)
-            want = exact_min_distance(code)
-            assert (got.exact_distance, got.witness) == (want.exact_distance, want.witness), code
+            assert got.exact_distance == exact_min_distance(code).exact_distance, code
             verify_distance_certificate(code, got)
 
-    @pytest.mark.parametrize("tail_subsets", [1, 40, 600])
-    def test_any_tail_table_size_gives_the_same_answer(self, monkeypatch, tail_subsets):
+    @pytest.mark.parametrize("tail_words", [1, 40, 600])
+    def test_any_tail_table_size_gives_the_same_answer(self, monkeypatch, tail_words):
         # small tables push every weight above t_max through the prefix walk
         codes = _random_codes(5, 6, 20, 65) + _random_codes(7, 3, 12, 66)
         want = [proven_min_distance(code) for code in codes]
-        monkeypatch.setattr("bincyclic.distance._TAIL_SUBSETS", tail_subsets)
+        monkeypatch.setattr("bincyclic.distance._TAIL_WORDS", tail_words)
         for code, ref in zip(codes, want):
             got = proven_min_distance(code)
             assert (got.exact_distance, got.witness, got.iterations) == (
                 ref.exact_distance, ref.witness, ref.iterations,
             )
-            assert got.witness == exact_min_distance(code).witness
-
-    def test_canonical_witness_found_only_as_a_shift(self):
-        # [63,24,12]: no weight-12 word met on the window is itself the
-        # canonical witness; the minimum over their cyclic shifts is
-        table = build_table(6)
-        mask = table.union_mask([0, 3, 9, 11, 15, 21, 23, 27, 31])
-        code = assemble(DefiningSet.from_mask(63, mask, {"construction": "random"}))
-        got, want = proven_min_distance(code), exact_min_distance(code)
-        assert (got.exact_distance, got.witness) == (want.exact_distance, want.witness)
-        window = ((1 << code.dimension) - 1) << (code.n - code.dimension)
-        assert (got.witness & window).bit_count() > got.certificate.enumerated_weight
 
     def test_matches_naive_reencoder(self):
         for m, seed in ((3, 71), (4, 72), (5, 73)):
             for code in _random_codes(m, 10, 14, seed):
                 got = proven_min_distance(code)
-                assert (got.exact_distance, got.witness) == _naive_min_distance(code)
+                assert got.exact_distance == _naive_min_distance(code)[0]
+                assert code.is_codeword(got.witness)
 
     def test_empty_defining_set_is_the_full_space(self):
         code = _code(15, ())
@@ -336,17 +326,12 @@ class TestProofEngine:
         assert result.method == "information-weight"
         assert result.seed is None
         cert = result.certificate
-        # 12 * 32 // 63 = 6: the pass goes to weight 6 for the canonical witness
-        assert cert.enumerated_weight == 6
-        assert cert.witness == result.witness
-        assert result.iterations == _iterations_through(32, 6)
-        assert cert.inequality == "min(12, max(12, ceil(7*63/32) = 14)) = 12 <= d <= 12"
+        # floor(11 * 32 / 63) = 5: the pass stops once weight 5 is scored
+        assert cert.enumerated_weight == 5
+        assert result.iterations == _iterations_through(32, 5)
+        assert cert.inequality == "floor((12-1)*32/63) = 5 <= 5"
         blob = json.loads(json.dumps(result.as_dict()))
-        assert blob["certificate"] == {
-            "witness_bits": blob["witness_bits"],
-            "enumerated_weight": 6,
-            "inequality": cert.inequality,
-        }
+        assert blob["certificate"] == {"enumerated_weight": 5, "inequality": cert.inequality}
 
     def test_other_engines_add_no_certificate_key(self):
         code = _code(15, EXAMPLE1_Z1)
@@ -354,28 +339,34 @@ class TestProofEngine:
         assert "certificate" not in exact_min_distance(code).as_dict()
         assert "certificate" not in low_weight_search(code, seed=1, iterations=3).as_dict()
 
-    def test_truncated_run_reports_what_it_proved(self):
-        # Example 2's [63,30,12]: run bound 10, and weight 12 first met at w = 2
-        code = assemble(dual_defining_set(DefiningSet.from_elements(63, EXAMPLE2_Z1)))
-        cut = proven_min_distance(code, max_weight=2)
-        assert cut.certificate.enumerated_weight == 2
-        assert cut.iterations == _iterations_through(30, 2)
-        assert cut.proven_lower_bound == 10  # max(run 10, ceil(3*63/30) = 7)
-        assert cut.exact_distance is None
-        assert cut.best_weight_found >= 12
-        verify_distance_certificate(code, cut)
-        assert proven_min_distance(code, max_weight=5).exact_distance == 12
-
     def test_refuses_a_parity_matrix_past_its_ceiling(self, monkeypatch, code_63_32):
         # [63,32]: 32 rows of one 64-bit lane, 256 bytes
         monkeypatch.setattr("bincyclic.distance._PARITY_BYTES", 255)
         with pytest.raises(ValueError, match="32 x 31-bit parity matrix"):
             proven_min_distance(code_63_32)
 
-    @pytest.mark.parametrize("max_weight", [0, -3])
-    def test_rejects_bad_max_weight(self, max_weight):
-        with pytest.raises(ValueError, match="max_weight"):
-            proven_min_distance(_code(7, (1, 2, 4)), max_weight=max_weight)
+    def test_refuses_up_front_when_the_run_bound_needs_too_much(self, monkeypatch, code_63_32):
+        # run bound 12: any proof scores every message of weight <= 5
+        monkeypatch.setattr(
+            "bincyclic.distance._PROOF_COMBINATIONS", _iterations_through(32, 5) - 1
+        )
+
+        def no_enumeration(code):
+            raise AssertionError("the limit must be checked before any enumeration")
+
+        monkeypatch.setattr("bincyclic.distance._systematic_parity", no_enumeration)
+        with pytest.raises(ValueError, match=r"\[63,32\] code .* weight <= 5, more than"):
+            proven_min_distance(code_63_32)
+
+    def test_refuses_before_the_weight_that_crosses_the_limit(self, monkeypatch):
+        # Example 2's [63,30,12]: run bound 10 needs weight <= 4, the proof weight 5
+        code = assemble(dual_defining_set(DefiningSet.from_elements(63, EXAMPLE2_Z1)))
+        limit = _iterations_through(30, 4)
+        monkeypatch.setattr("bincyclic.distance._PROOF_COMBINATIONS", limit)
+        with pytest.raises(ValueError, match=r"information weight <= 5, more than the limit"):
+            proven_min_distance(code)
+        monkeypatch.setattr("bincyclic.distance._PROOF_COMBINATIONS", _iterations_through(30, 5))
+        assert proven_min_distance(code).exact_distance == 12
 
 
 _PROPERTY_CODES = (
@@ -390,17 +381,16 @@ def _true_distance(index):
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_truncated_bounds_bracket_the_distance(data):
+def test_any_tail_table_size_proves_the_true_distance(data):
     index = data.draw(st.integers(0, len(_PROPERTY_CODES) - 1), label="code")
     code = _PROPERTY_CODES[index]
-    max_weight = data.draw(st.integers(1, code.dimension + 2), label="max_weight")
-    result = proven_min_distance(code, max_weight=max_weight)
+    tail_words = data.draw(st.integers(1, 1 << 16), label="tail_words")
+    with mock.patch("bincyclic.distance._TAIL_WORDS", tail_words):
+        result = proven_min_distance(code)
     d = _true_distance(index)
     run = bch_lower_bound(code.defining_set)
-    assert run <= result.proven_lower_bound <= d <= result.best_weight_found
-    assert result.certificate.enumerated_weight <= max_weight
-    closed = result.proven_lower_bound == result.best_weight_found
-    assert result.exact_distance == (d if closed else None)
+    assert run <= result.proven_lower_bound == result.exact_distance == d
+    assert result.iterations == _iterations_through(code.dimension, result.certificate.enumerated_weight)
     verify_distance_certificate(code, result)
 
 
@@ -420,29 +410,30 @@ class TestCertificateCheck:
     @pytest.mark.parametrize(
         "change,message",
         [
-            # same weight, not a codeword; the certificate is tampered alike
-            (
-                lambda r: {
-                    "witness": r.witness ^ 0b11,
-                    "certificate": dataclasses.replace(r.certificate, witness=r.witness ^ 0b11),
-                },
-                "divisible by the generator",
-            ),
+            # same weight, not a codeword
+            (lambda r: {"witness": r.witness ^ 0b11}, "divisible by the generator"),
             (lambda r: {"best_weight_found": r.best_weight_found - 1}, "witness weight"),
             (lambda r: {"witness": 0, "best_weight_found": 0}, "nonzero"),
-            (lambda r: {"proven_lower_bound": r.proven_lower_bound + 1}, "does not close"),
+            (lambda r: {"proven_lower_bound": r.proven_lower_bound + 1}, "not proved"),
             (lambda r: {"exact_distance": None}, "not proved"),
             (
-                lambda r: {"certificate": dataclasses.replace(r.certificate, enumerated_weight=1)},
+                lambda r: {"certificate": dataclasses.replace(r.certificate, enumerated_weight=2)},
+                "does not close",
+            ),
+            (
+                lambda r: {"certificate": dataclasses.replace(r.certificate, inequality="7 <= d")},
+                "does not close",
+            ),
+            # a short pass that states its own shortfall
+            (
+                lambda r: {
+                    "certificate": DistanceCertificate(2, "floor((7-1)*16/31) = 3 <= 2")
+                },
                 "does not close",
             ),
             (
                 lambda r: {"certificate": dataclasses.replace(r.certificate, enumerated_weight=99)},
                 "outside",
-            ),
-            (
-                lambda r: {"certificate": dataclasses.replace(r.certificate, witness=r.witness << 1)},
-                "differs",
             ),
         ],
     )
