@@ -296,8 +296,8 @@ def _cmd_verify(args) -> int:
                             {
                                 "code": row.code,
                                 "field": row.field,
-                                "expected": _jsonable(row.expected),
-                                "actual": _jsonable(row.actual),
+                                "expected": row.expected,
+                                "actual": row.actual,
                                 "ok": row.ok,
                             }
                             for row in rep.rows
@@ -310,12 +310,6 @@ def _cmd_verify(args) -> int:
     else:
         print(f"{len(fixtures)} fixture(s): {len(fixtures) - failed} passed, {failed} failed")
     return EXIT_MISMATCH if failed else EXIT_OK
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _cmd_export(args) -> int:

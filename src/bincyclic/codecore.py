@@ -99,12 +99,7 @@ class CyclicCode:
         via_set = assemble(dual_set, ctx=self.ctx)
         # Independent route: reverse h(x); h(0) = 1 always, so the
         # reversal of the k-degree parity poly is the dual generator.
-        k = self.dimension
-        rev = 0
-        h = self.parity
-        for j in range(k + 1):
-            if (h >> j) & 1:
-                rev |= 1 << (k - j)
+        rev = int(format(self.parity, "b")[::-1], 2)
         if via_set.generator != rev:
             raise InvariantError("dual generator mismatch between routes")
         return via_set

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import MAX_FIELD_DEGREE
+from .gf2 import MAX_FIELD_DEGREE, _prime_factors
 
 BitVector = tuple[int, ...]
 
@@ -122,14 +122,7 @@ def is_union_of_cosets(S, n: int) -> bool:
 
 
 def _is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return False
-        d += 1
-    return True
+    return v >= 2 and _prime_factors(v) == [v]
 
 
 @dataclass(frozen=True)

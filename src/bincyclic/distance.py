@@ -20,6 +20,10 @@ Three engines share one result type:
   Fast for any dimension, returns an upper bound plus the run bound as
   ``proven_lower_bound``.
 
+The proof and search engines score their row combinations through one
+enumerator, :func:`_subset_blocks`, which XORs bounded tables of subset
+tails with a walk over prefixes.
+
 :func:`auto_distance` picks between the exhaustive and search engines
 on dimension.
 """
@@ -122,16 +126,19 @@ def _check_witness(code: CyclicCode, weight: int, witness: int) -> None:
         raise InvariantError("witness must be divisible by the generator")
 
 
-def _pack_rows(code: CyclicCode) -> np.ndarray:
-    """Shift matrix of g as a (k, W) array of uint64 lanes."""
-    k = code.dimension
-    lanes = (code.n + 63) // 64
-    rows = np.zeros((k, lanes), dtype=np.uint64)
-    for i in range(k):
-        word = code.generator << i
-        for j in range(lanes):
-            rows[i, j] = (word >> (64 * j)) & 0xFFFFFFFFFFFFFFFF
-    return rows
+def _to_lanes(words, lanes: int) -> np.ndarray:
+    """Ints below 2^(64*lanes) as a (len(words), lanes) array of uint64
+    lanes, least significant lane first; :func:`_lanes_to_int` inverts it."""
+    raw = b"".join(word.to_bytes(8 * lanes, "little") for word in words)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, lanes)
+
+
+def _popcount(block: np.ndarray) -> np.ndarray:
+    """Weight of each row of a (rows, lanes) array of uint64 lanes."""
+    if block.shape[1] == 1:
+        return np.bitwise_count(block[:, 0])
+    return np.bitwise_count(block).sum(axis=1)
+
 
 def _lanes_to_int(lanes: np.ndarray) -> int:
     return int.from_bytes(lanes.astype("<u8").tobytes(), "little")
@@ -214,8 +221,8 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    rows = _pack_rows(code)
-    lanes = rows.shape[1]
+    lanes = (code.n + 63) // 64
+    rows = _to_lanes([code.generator << i for i in range(k)], lanes)
     # Low bits become one in-memory block of XOR combinations.
     h_cap = max(1, (_BLOCK_BYTES // (8 * lanes)).bit_length() - 1)
     h = min(k, 16, h_cap)
@@ -268,33 +275,33 @@ def _systematic_parity(code: CyclicCode) -> np.ndarray:
     k = code.dimension
     r = code.n - k
     g = code.generator
-    lanes = max(1, (r + 63) // 64)
-    out = np.empty((k, lanes), dtype=np.uint64)
+    out = []
     p = g ^ (1 << r)  # x^r mod g, since deg g = r
-    for i in range(k):
-        out[i] = np.frombuffer(p.to_bytes(8 * lanes, "little"), dtype="<u8")
+    for _ in range(k):
+        out.append(p)
         p <<= 1
         if (p >> r) & 1:
             p ^= g
-    return out
+    return _to_lanes(out, max(1, (r + 63) // 64))
 
 
-def _extend_tails(tails: list, parity: np.ndarray) -> None:
+def _extend_tails(tails: list, rows: np.ndarray) -> None:
     """Append the table of all (t+1)-subsets to ``tails``.
 
-    ``tails[t - 1]`` is ``(xors, offsets)``: the parity XOR of every
+    ``tails[t - 1]`` is ``(xors, offsets)``: the XOR of every
     t-subset of rows, sorted by first index, and ``offsets[j]``, the
     position of the first subset whose first index is >= j.
     """
-    k = parity.shape[0]
+    k = rows.shape[0]
     if not tails:
-        tails.append((parity, np.arange(k + 1)))
+        tails.append((rows, np.arange(k + 1)))
         return
     prev, prev_off = tails[-1]
-    blocks = [prev[prev_off[i + 1]:] ^ parity[i] for i in range(k)]
+    counts = len(prev) - prev_off[1:]  # subsets that start after row i
     offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in blocks], out=offsets[1:])
-    tails.append((np.concatenate(blocks), offsets))
+    np.cumsum(counts, out=offsets[1:])
+    after = np.arange(offsets[-1]) + np.repeat(prev_off[1:] - offsets[:-1], counts)
+    tails.append((np.take(prev, after, axis=0) ^ np.repeat(rows, counts, axis=0), offsets))
 
 
 def _tail_subset(tails: list, t: int, idx: int) -> list[int]:
@@ -307,6 +314,32 @@ def _tail_subset(tails: list, t: int, idx: int) -> list[int]:
         if level > 1:
             idx = int(tails[level - 2][1][first + 1]) + idx - int(offsets[first])
     return subset
+
+
+def _subset_blocks(rows: np.ndarray, tails: list, w: int):
+    """Yield ``(head, start, block)`` so that the blocks hold the XOR of
+    every w-subset of ``rows`` exactly once.
+
+    With t the largest weight <= w whose subset table holds at most
+    ``_TAIL_WORDS`` uint64 words, ``block`` is the XOR of the rows in
+    ``head`` (a (w - t)-subset, walked in lexicographic order) with every
+    t-subset table entry from ``start`` on, i.e. every t-subset of rows
+    after ``head[-1]``.  ``tails`` caches the tables (see
+    :func:`_extend_tails`) across calls on the same rows.
+    """
+    k, lanes = rows.shape
+    t = 1
+    while t < min(w, k) and comb(k, t + 1) * lanes <= _TAIL_WORDS:
+        t += 1
+    while len(tails) < t:
+        _extend_tails(tails, rows)
+    table, offsets = tails[t - 1]
+    for head in combinations(range(k - t), w - t):
+        start = int(offsets[head[-1] + 1]) if head else 0
+        block = table[start:]
+        if head:
+            block = block ^ np.bitwise_xor.reduce(rows[list(head)], axis=0)
+        yield head, start, block
 
 
 def _combinations_through(k: int, w: int) -> int:
@@ -361,10 +394,6 @@ def proven_min_distance(code: CyclicCode) -> DistanceResult:
     # every proof enumerates at least to floor((run - 1)*k/n), as best >= run
     _refuse_past_limit(n, k, (bch_lower_bound(code.defining_set) - 1) * k // n)
     parity = _systematic_parity(code)
-    t_max = 1
-    while t_max < k and comb(k, t_max + 1) * lanes <= _TAIL_WORDS:
-        t_max += 1
-
     tails: list = []
     best_w, best_wit = 1 << 30, 0
     scored = 0
@@ -373,25 +402,14 @@ def proven_min_distance(code: CyclicCode) -> DistanceResult:
         if w > (best_w - 1) * k // n:
             break
         _refuse_past_limit(n, k, w)
-        t = min(w, t_max)
-        if len(tails) < t:
-            _extend_tails(tails, parity)
-        table, offsets = tails[t - 1]
-        for head in combinations(range(k - t), w - t):
-            start = int(offsets[head[-1] + 1]) if head else 0
-            block = table[start:]
-            if head:
-                block = block ^ np.bitwise_xor.reduce(parity[list(head)], axis=0)
-            if lanes == 1:
-                counts = np.bitwise_count(block[:, 0])
-            else:
-                counts = np.bitwise_count(block).sum(axis=1)
+        for head, start, block in _subset_blocks(parity, tails, w):
+            counts = _popcount(block)
             scored += len(block)
             hit = int(np.argmin(counts))
             if int(counts[hit]) + w < best_w:
                 best_w = int(counts[hit]) + w
                 info = sum(1 << (r + i) for i in head)
-                for i in _tail_subset(tails, t, start + hit):
+                for i in _tail_subset(tails, w - len(head), start + hit):
                     info |= 1 << (r + i)
                 best_wit = info | _lanes_to_int(block[hit])
         w_done = w
@@ -447,7 +465,9 @@ def low_weight_search(
 
     Each iteration draws a seeded random column order, reduces the shift
     matrix of g to systematic form on the first independent columns, and
-    scores every combination of at most ``depth`` basis rows (depth <= 3).
+    scores every combination of at most ``depth`` basis rows (depth <= 3)
+    through the proof engine's tail tables.  The result is the least
+    (weight, word) scored, which does not depend on scoring order.
     Deterministic for fixed (seed, iterations, depth), and consuming a
     fixed RNG amount per iteration, so longer runs extend shorter ones.
     """
@@ -456,6 +476,7 @@ def low_weight_search(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n, k = code.n, code.dimension
+    lanes = (n + 63) // 64
     rows = [code.generator << i for i in range(k)]
     rng = np.random.default_rng(seed)
 
@@ -482,28 +503,16 @@ def low_weight_search(
         if filled < k:
             raise SearchError("generator matrix lost rank during reduction")
 
-        for r in range(k):
-            w = basis[r].bit_count()
-            if w < best_w or (w == best_w and basis[r] < best_wit):
-                best_w, best_wit = w, basis[r]
-        if depth >= 2:
-            for a in range(k):
-                ra = basis[a]
-                for b in range(a + 1, k):
-                    word = ra ^ basis[b]
-                    w = word.bit_count()
-                    if w < best_w or (w == best_w and word < best_wit):
-                        best_w, best_wit = w, word
-        if depth == 3:
-            for a in range(k):
-                ra = basis[a]
-                for b in range(a + 1, k):
-                    rab = ra ^ basis[b]
-                    for c in range(b + 1, k):
-                        word = rab ^ basis[c]
-                        w = word.bit_count()
-                        if w < best_w or (w == best_w and word < best_wit):
-                            best_w, best_wit = w, word
+        packed = _to_lanes(basis, lanes)
+        tails: list = []
+        for w in range(1, depth + 1):
+            for _, _, block in _subset_blocks(packed, tails, w):
+                counts = _popcount(block)
+                low = int(counts.min())
+                if low <= best_w:
+                    word = min(_lanes_to_int(block[i]) for i in np.flatnonzero(counts == low))
+                    if low < best_w or word < best_wit:
+                        best_w, best_wit = low, word
 
     _check_witness(code, best_w, best_wit)
 

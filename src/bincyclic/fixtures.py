@@ -477,5 +477,3 @@ FIXTURES: tuple[Fixture, ...] = (
     _weight_class_fixture(13, 0, 4095, (127, 191, 247, 241), (247, 245, 243, 241), 241, 64),
     _weight_class_fixture(13, 1, 4095, (63, 125, 245, 243), (247, 245, 243, 241), 241, 64),
 )
-
-FIXTURE_IDS = tuple(fx.fixture_id for fx in FIXTURES)

@@ -3,8 +3,10 @@ search, and the dispatcher."""
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from bincyclic.cli import run_command
 from bincyclic.codecore import InvariantError, assemble, bch_lower_bound, dual_defining_set
 from bincyclic.constructions import (
     DefiningSet,
+    build_even_m,
     build_sqrt_complement,
     build_two_prime,
     build_weight_class,
@@ -29,6 +33,9 @@ from bincyclic.cosets import build_table
 from bincyclic.distance import (
     BudgetExceeded,
     DistanceCertificate,
+    _lanes_to_int,
+    _subset_blocks,
+    _to_lanes,
     auto_distance,
     exact_min_distance,
     low_weight_search,
@@ -195,6 +202,125 @@ class TestSearch:
     def test_rejects_bad_iterations(self, code_63_32):
         with pytest.raises(ValueError, match="iterations"):
             low_weight_search(code_63_32, seed=1, iterations=0)
+
+
+# -- the search scores through the shared subset enumerator ---------------
+
+
+def _unrolled_search(code, seed, iterations, depth):
+    """Reference search: the same seeded reduction, then one pure-Python
+    loop per depth over the reduced basis.  Returns (best weight, witness)."""
+    n, k = code.n, code.dimension
+    rows = [code.generator << i for i in range(k)]
+    rng = np.random.default_rng(seed)
+    best_w, best_wit = 1 << 30, 0
+    for _ in range(iterations):
+        perm = rng.permutation(n)
+        basis = rows.copy()
+        filled = 0
+        for col in perm:
+            bit = 1 << int(col)
+            pivot = next((r for r in range(filled, k) if basis[r] & bit), None)
+            if pivot is None:
+                continue
+            basis[filled], basis[pivot] = basis[pivot], basis[filled]
+            for r in range(k):
+                if r != filled and basis[r] & bit:
+                    basis[r] ^= basis[filled]
+            filled += 1
+            if filled == k:
+                break
+        words = list(basis)
+        if depth >= 2:
+            words += [basis[a] ^ basis[b] for a in range(k) for b in range(a + 1, k)]
+        if depth == 3:
+            for a in range(k):
+                for b in range(a + 1, k):
+                    rab = basis[a] ^ basis[b]
+                    words += [rab ^ basis[c] for c in range(b + 1, k)]
+        for word in words:
+            w = word.bit_count()
+            if w < best_w or (w == best_w and word < best_wit):
+                best_w, best_wit = w, word
+    return best_w, best_wit
+
+
+@functools.lru_cache(maxsize=None)
+def _search_codes():
+    """One-lane codes at n = 7, 15, 31, 63 and multi-lane codes at n = 127,
+    255, among them both sqrt-m7 codes.  The [7,1] code has fewer rows than
+    depths 2 and 3 combine."""
+    sqrt5, _ = build_sqrt_complement(5)
+    sqrt7, _ = build_sqrt_complement(7, overrides=(21, 27))
+    even8, _, _ = build_even_m(8)
+    two_prime, _ = build_two_prime(3)
+    sets = [
+        DefiningSet.from_elements(7, (1, 2, 3, 4, 5, 6)),
+        DefiningSet.from_elements(15, EXAMPLE1_Z1),
+        DefiningSet.from_elements(15, EXAMPLE1_Z2),
+        sqrt5, dual_defining_set(sqrt5), two_prime,
+        sqrt7, dual_defining_set(sqrt7), even8,
+    ]
+    return [assemble(z) for z in sets]
+
+
+@pytest.mark.parametrize("tail_words", [1, 40, 1 << 16])
+def test_subset_blocks_cover_every_subset_once(monkeypatch, tail_words):
+    # random 64-bit lanes make equal XORs of distinct subsets vanishingly unlikely
+    monkeypatch.setattr("bincyclic.distance._TAIL_WORDS", tail_words)
+    rng = random.Random(tail_words)
+    for lanes in (1, 2, 3):
+        words = [rng.getrandbits(64 * lanes) for _ in range(9)]
+        rows = _to_lanes(words, lanes)
+        assert [_lanes_to_int(row) for row in rows] == words
+        tails = []
+        for w in range(1, 10):
+            got = [_lanes_to_int(row) for _, _, block in _subset_blocks(rows, tails, w) for row in block]
+            want = [functools.reduce(operator.xor, s) for s in itertools.combinations(words, w)]
+            assert sorted(got) == sorted(want), (lanes, w)
+
+
+class TestSearchMatchesUnrolledReference:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_every_depth_on_one_and_many_lanes(self, depth):
+        for index, code in enumerate(_search_codes()):
+            iterations = 2 if code.n == 255 and depth == 3 else 4
+            seed = 100 * depth + index
+            got = low_weight_search(code, seed=seed, iterations=iterations, depth=depth)
+            want = _unrolled_search(code, seed, iterations, depth)
+            assert (got.best_weight_found, got.witness) == want, (code.n, code.dimension)
+            assert (got.iterations, got.seed) == (iterations, seed)
+
+    @pytest.mark.parametrize("tail_words", [1, 40])
+    def test_prefix_walk_gives_the_same_result(self, monkeypatch, tail_words):
+        # tables this small leave depths 2 and 3 to the prefix walk
+        monkeypatch.setattr("bincyclic.distance._TAIL_WORDS", tail_words)
+        for index, code in enumerate(_search_codes()):
+            for depth in (2, 3):
+                got = low_weight_search(code, seed=index, iterations=2, depth=depth)
+                want = _unrolled_search(code, index, 2, depth)
+                assert (got.best_weight_found, got.witness) == want, (code.n, depth)
+
+    def test_search_under_python_O(self):
+        code = _search_codes()[7]  # the [127,63] sqrt-m7 dual: two lanes
+        want = _unrolled_search(code, 5, 3, 3)
+        script = (
+            "from bincyclic.codecore import assemble, dual_defining_set\n"
+            "from bincyclic.constructions import build_sqrt_complement\n"
+            "from bincyclic.distance import low_weight_search\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "z, _ = build_sqrt_complement(7, overrides=(21, 27))\n"
+            "r = low_weight_search(assemble(dual_defining_set(z)), seed=5, iterations=3, depth=3)\n"
+            "print(r.best_weight_found, r.witness, r.iterations, r.seed)\n"
+        )
+        src = Path(bincyclic.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.split() == [str(want[0]), str(want[1]), "3", "5"]
 
 
 class TestAutoDispatch:
