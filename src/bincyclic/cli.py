@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from typing import Optional
 
@@ -184,13 +185,49 @@ def _print_distance(result) -> None:
         print(f"certificate      : {d['certificate']['inequality']}")
 
 
+def _json_parts(value, pad: str, out: list[str]) -> None:
+    """Append to ``out``, in pieces, the text that ``json.dumps`` writes
+    for ``value`` with a 2-space indent, nested at indent ``pad``.
+
+    An indent makes CPython fall back to its pure-Python encoder, which
+    takes seconds on a defining set of 2M residues.  Every list or tuple
+    is rendered flat by the C encoder first; a body of digits, commas,
+    spaces and minus signs only is a list of ints and is re-indented as
+    text.  Anything else (bools, floats, strings, null, containers)
+    leaves other characters and is laid out element by element.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        opening, closing = "{", "}"
+        # json writes a non-string key as its own JSON text, quoted
+        entries = [(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", item)
+                   for key, item in value.items()]
+    elif isinstance(value, (list, tuple)) and value:
+        flat = json.dumps(value)[1:-1]
+        if re.fullmatch(r"[0-9, -]*", flat):
+            out += ("[\n", inner, flat.replace(", ", ",\n" + inner), "\n", pad, "]")
+            return
+        opening, closing = "[", "]"
+        entries = [("", item) for item in value]
+    else:
+        out.append(json.dumps(value))
+        return
+    out.append(opening)
+    for i, (label, item) in enumerate(entries):
+        out += (",\n" if i else "\n", inner, label)
+        _json_parts(item, inner, out)
+    out += ("\n", pad, closing)
+
+
 def _emit_json(payload: dict, output: Optional[str] = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False)
+    parts: list[str] = []
+    _json_parts(payload, "", parts)
+    parts.append("\n")
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(parts)
     else:
-        print(text)
+        sys.stdout.writelines(parts)
 
 
 def _read_elements(source: str) -> list[int]:

@@ -19,15 +19,19 @@ from typing import Optional
 import numpy as np
 
 from .constructions import DefiningSet
-from .gf2 import FieldContext, make_field, minimal_polynomials, poly_degree, poly_divrem, poly_mul
+from .gf2 import (
+    FieldContext,
+    InvariantError,
+    make_field,
+    minimal_polynomials,
+    poly_degree,
+    poly_divrem,
+    poly_mul,
+)
 
 
 class DegenerateCodeError(ValueError):
     """The defining set names a dimension-0 code (Z = Z_n)."""
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed; the result cannot be trusted."""
 
 
 def _leaders_of(zset: DefiningSet) -> np.ndarray:

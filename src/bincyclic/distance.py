@@ -134,10 +134,20 @@ def _to_lanes(words, lanes: int) -> np.ndarray:
 
 
 def _popcount(block: np.ndarray) -> np.ndarray:
-    """Weight of each row of a (rows, lanes) array of uint64 lanes."""
-    if block.shape[1] == 1:
-        return np.bitwise_count(block[:, 0])
-    return np.bitwise_count(block).sum(axis=1)
+    """Weight of each row of a (rows, lanes) array of uint64 lanes.
+
+    numpy sums a short inner axis slowly, and each lane column costs one
+    more call: adding the columns one by one is the faster of the two
+    from about 64 rows per lane (timed at 2 to 16 lanes).
+    """
+    rows, lanes = block.shape
+    if lanes > 1 and rows < 64 * lanes:
+        return np.bitwise_count(block).sum(axis=1)
+    # the smallest dtype that holds a weight of 64 * lanes; no copy for one lane
+    counts = np.bitwise_count(block[:, 0]).astype(np.min_scalar_type(64 * lanes), copy=False)
+    for lane in range(1, lanes):
+        counts += np.bitwise_count(block[:, lane])
+    return counts
 
 
 def _lanes_to_int(lanes: np.ndarray) -> int:

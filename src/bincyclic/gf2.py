@@ -30,6 +30,10 @@ MAX_FIELD_DEGREE = 24
 EVAL_BLOCK = 1 << 14
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed; the result cannot be trusted."""
+
+
 def poly_degree(a: BinaryPolynomial) -> int | None:
     """Degree of ``a``; ``None`` for the zero polynomial (sentinel)."""
     if a == 0:

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior via run_command."""
 
 import argparse
+import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bincyclic.cli import _build_parser, run_command
+from bincyclic.cli import _build_parser, _emit_json, run_command
 from bincyclic.codecore import assemble, describe
 from bincyclic.constructions import FAMILIES, DefiningSet, audit_as_dict, build_even_m
 from bincyclic.fixtures import EXAMPLE1_Z2, FIXTURES, SQRT_M5_Z
@@ -299,12 +304,63 @@ class TestExport:
         payload = json.loads(target.read_text())
         assert payload["schema"] == 1
         assert payload["code"]["defining_set"] == list(SQRT_M5_Z)
+        # the file holds the bytes the same command prints, laid out as json's indent=2
+        assert run_command(["export", "sqrt", "--m", "5"]) == 0
+        printed = capsys.readouterr().out
+        assert target.read_bytes() == printed.encode("utf-8")
+        assert printed == json.dumps(payload, indent=2) + "\n"
 
     def test_unwritable_output_is_a_domain_error(self, capsys):
         rc = run_command(
             ["export", "sqrt", "--m", "5", "--output", "/nonexistent/dir/out.json"]
         )
         assert rc == 1
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**90),
+    st.integers(min_value=-(2**90), max_value=-1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.sampled_from(["caf\u00e9", "\x00\x1f\t\n\"\\", "\u2028\ud7ff\U0001f600", "1, 2", "-"]),
+)
+_INT_LISTS = st.lists(st.integers(min_value=-(2**70), max_value=2**70))
+# an int list with one bool or float mixed in must not take the all-int path
+_MIXED_INT_LISTS = st.builds(
+    lambda ints, odd, at: ints[:at] + [odd] + ints[at:],
+    _INT_LISTS,
+    st.one_of(st.booleans(), st.floats(allow_nan=True, allow_infinity=True)),
+    st.integers(min_value=0, max_value=20),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+_PAYLOADS = st.recursive(
+    _JSON_SCALARS | _INT_LISTS | _INT_LISTS.map(tuple) | _MIXED_INT_LISTS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=5),
+        st.lists(st.tuples(children, children), max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestEmitJson:
+    @settings(max_examples=150, deadline=None)
+    @given(_PAYLOADS)
+    def test_same_text_as_the_indenting_encoder(self, payload):
+        want = json.dumps(payload, indent=2) + "\n"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit_json(payload)
+        assert out.getvalue() == want
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp, "out.json")
+            _emit_json(payload, str(target))
+            assert target.read_bytes() == want.encode("utf-8")
 
 
 class TestUsageErrors:

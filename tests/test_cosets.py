@@ -1,9 +1,17 @@
 """2-cyclotomic cosets: tables, permutation lemma, size/weight classes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bincyclic
+from bincyclic.codecore import InvariantError
 from bincyclic.cosets import (
+    CosetTable,
     build_table,
     classify_by_size,
     coset_of,
@@ -86,8 +94,53 @@ class TestBuildTable:
 
     def test_leaders_of_size(self):
         table = build_table(6)
-        assert tuple(int(x) for x in table.leaders_of_size(3)) == (9, 27)
-        assert tuple(int(x) for x in table.leaders_of_size(2)) == (21,)
+        assert table.leaders_of_size(3) == (9, 27)
+        assert table.leaders_of_size(2) == (21,)
+        assert all(type(v) is int for v in table.leaders_of_size(6))
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_every_leader_is_the_orbit_minimum(self, m):
+        table = build_table(m)
+        assert table.leader_of.tolist() == [min(coset_of(x, table.n)) for x in range(table.n)]
+
+    @pytest.mark.parametrize("m", range(15, 19))
+    def test_matches_pointer_jumping(self, m):
+        lead, sizes = _pointer_jumping_table(m)
+        table = build_table(m)
+        assert np.array_equal(table.leader_of, lead)
+        assert np.array_equal(table.leaders, np.flatnonzero(sizes))
+        assert np.array_equal(table.sizes, sizes[sizes > 0])
+
+    @pytest.mark.parametrize("m", [2, 6, 13])
+    def test_dtypes_and_read_only(self, m):
+        table = build_table(m)
+        assert table.leader_of.dtype == np.int32
+        assert table.leaders.dtype == np.intp
+        assert table.sizes.dtype == np.intp
+        for arr in (table.leader_of, table.leaders, table.sizes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_m22_partitions_z_n(self):
+        table = build_table(22)
+        assert int(table.sizes.sum()) == table.n
+        assert table.leader_of.dtype == np.int32 and not table.leader_of.flags.writeable
+        # binary necklaces of length 22, (2^22 + 2^11 + 10*2^2 + 10*2) / 22, less the all-ones one
+        assert len(table.leaders) == 190_745
+
+
+def _pointer_jumping_table(m):
+    """Leaders and per-leader sizes by pointer jumping over the doubling map,
+    an independent reference for ``build_table``: after r rounds lead[x] is
+    the least of x * 2^j for j < 2^r."""
+    n = (1 << m) - 1
+    lead = np.arange(n, dtype=np.int64)
+    hop = (lead * 2) % n
+    for _ in range(max(1, m.bit_length())):
+        lead = np.minimum(lead, lead[hop])
+        hop = hop[hop]
+    return lead, np.bincount(lead, minlength=n)
 
 
 class TestPermutationLemma:
@@ -139,6 +192,69 @@ class TestClassification:
         assert sizes.size_p1_leaders == (4681, 14043)
         assert sizes.size_p2_leaders == (1057, 3171, 5285, 7399, 11627, 15855)
         assert len(sizes.size_full_leaders) == 2182
+
+
+CORRUPTED_TABLE_SCRIPT = """
+import numpy as np
+from bincyclic import InvariantError
+from bincyclic.cosets import CosetTable, build_table, classify_by_size
+
+if __debug__:
+    raise SystemExit("not running under -O")
+
+def raises(call):
+    try:
+        call()
+    except InvariantError as exc:
+        return str(exc)
+    raise SystemExit("no InvariantError")
+
+def altered(table, leaders, sizes):
+    return CosetTable(n=table.n, m=table.m, leader_of=table.leader_of,
+                      leaders=np.asarray(leaders), sizes=np.asarray(sizes))
+
+t15, t6 = build_table(15), build_table(6)
+# a size-15 coset relabelled as a size-5 one: both censuses are off
+sizes = t15.sizes.copy(); sizes[np.flatnonzero(sizes == 15)[0]] = 5
+print(raises(lambda: classify_by_size(altered(t15, t15.leaders, sizes), 3, 5)))
+# the coset {0} dropped
+print(raises(lambda: classify_by_size(altered(t15, t15.leaders[1:], t15.sizes[1:]), 3, 5)))
+# a size-6 coset of m = 6 relabelled as size 2
+sizes = t6.sizes.copy(); sizes[1] = 2
+print(raises(lambda: classify_by_size(altered(t6, t6.leaders, sizes), 2, 3)))
+# an extra leader of size 7, which no m = 15 coset has
+print(raises(lambda: classify_by_size(
+    altered(t15, np.append(t15.leaders, t15.n), np.append(t15.sizes, 7)), 3, 5)))
+# broken counts inside build_table: every coset counted twice, then the coset of 1 lost
+count = np.bincount
+np.bincount = lambda a, minlength: 2 * count(a, minlength=minlength)
+print(raises(lambda: build_table(6)))
+np.bincount = lambda a, minlength: count(a, minlength=minlength) * (np.arange(minlength) != 1)
+print(raises(lambda: build_table(6)))
+"""
+
+
+def test_corrupted_tables_raise_under_python_O():
+    src = Path(bincyclic.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_TABLE_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines() == [
+        "7 cosets of size 5, expected 6",
+        "the only fixed point of doubling is 0",
+        "the only coset of size 2 must be {21, 42}",
+        "unexpected coset sizes {7}",
+        "coset sizes must divide m",
+        "cosets must partition Z_n",
+    ]
+
+
+def test_invariant_error_is_one_class():
+    from bincyclic import cosets, gf2
+
+    assert bincyclic.InvariantError is InvariantError is cosets.InvariantError is gf2.InvariantError
 
 
 class TestWeightClasses:

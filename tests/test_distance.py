@@ -34,6 +34,7 @@ from bincyclic.distance import (
     BudgetExceeded,
     DistanceCertificate,
     _lanes_to_int,
+    _popcount,
     _subset_blocks,
     _to_lanes,
     auto_distance,
@@ -278,6 +279,22 @@ def test_subset_blocks_cover_every_subset_once(monkeypatch, tail_words):
             got = [_lanes_to_int(row) for _, _, block in _subset_blocks(rows, tails, w) for row in block]
             want = [functools.reduce(operator.xor, s) for s in itertools.combinations(words, w)]
             assert sorted(got) == sorted(want), (lanes, w)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 8])
+@pytest.mark.parametrize("rows", [1, 5, 200, 2000])
+def test_popcount_equals_the_row_sum(lanes, rows):
+    rng = np.random.default_rng(rows * 10 + lanes)
+    block = rng.integers(0, 1 << 64, size=(rows, lanes), dtype=np.uint64)
+    block[0] = np.uint64((1 << 64) - 1)  # the heaviest row, 64 * lanes ones
+    got = _popcount(block)
+    assert np.array_equal(got, np.bitwise_count(block).sum(axis=1))
+    assert int(got[0]) == 64 * lanes
+
+
+def test_popcount_of_a_wide_block():
+    block = np.random.default_rng(7).integers(0, 1 << 64, size=(3, 32768), dtype=np.uint64)
+    assert np.array_equal(_popcount(block), np.bitwise_count(block).sum(axis=1))
 
 
 class TestSearchMatchesUnrolledReference:

@@ -1,0 +1,179 @@
+"""Record the output of a fixed list of bincyclic CLI commands.
+
+    python3 tools/compare_outputs.py OUTDIR [--src SRC]
+    diff -r OLD_OUTDIR NEW_OUTDIR
+
+Runs every command in this process through ``bincyclic.cli.run_command``
+and writes one file per command to OUTDIR: its exit code, stderr and
+stdout (and the file an ``--output`` command wrote).  Fixture timings
+(``"seconds": …`` in JSON, ``(1.23s)`` in the human report) are masked,
+so two checkouts that behave the same produce identical directories.
+``--src`` imports bincyclic from another checkout's ``src`` directory
+(default: the one next to this script), so one copy of this script can
+record any revision.
+
+The list covers ``construct --json`` and ``export`` for every family at
+several sizes, the human and ``--elements-only`` forms, the six
+``construct-large`` commands at m = 17..22 (both choices of ``--which``
+and ``--i``), ``analyze`` and ``export`` with each distance engine,
+``verify-paper`` (fast and ``--all``, JSON and human) and the error
+cases with their exit codes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import re
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+#: Marks the path of a scratch file in a command's argv.
+SCRATCH = "{scratch}"
+
+SMALL_FAMILIES = (
+    [["even-m", "--m", str(m), "--which", w] + swap
+     for m in (4, 6, 8, 10, 12) for w in ("C1", "C2") for swap in ([], ["--swap-pairs"])]
+    + [["two-prime", "--p", str(p)] for p in (3, 5, 7)]
+    + [["odd-pq", "--p1", "3", "--p2", "5"]]
+    + [["sqrt", "--m", str(m)] for m in (5, 7, 9, 11)]
+    + [["sqrt", "--m", "7", "--choose", "21,27"]]
+    + [["weight-class", "--m", str(m), "--i", i] for m in (9, 11, 13) for i in ("0", "1")]
+)
+
+LARGE = (
+    ["construct", "two-prime", "--p", "11", "--json"],
+    ["export", "odd-pq", "--p1", "3", "--p2", "7"],
+    ["export", "even-m", "--m", "20", "--which", "C1"],
+    ["export", "even-m", "--m", "20", "--which", "C2"],
+    ["construct", "sqrt", "--m", "19", "--json"],
+    ["construct", "even-m", "--m", "18", "--which", "C1", "--json"],
+    ["construct", "even-m", "--m", "18", "--which", "C2", "--json"],
+    ["export", "weight-class", "--m", "17", "--i", "0"],
+    ["export", "weight-class", "--m", "17", "--i", "1"],
+)
+
+#: The cosets of 1 and 3 mod 15 (a [15,7,5] code), for ``analyze``.
+M4_RESIDUES = "1 2 3 4 6 8 9 12"
+
+ENGINE_RUNS = (
+    ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--json"],
+    ["analyze", SCRATCH + "/m4.txt", "--m", "4"],
+    ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--hex", "--engine", "exhaustive"],
+    ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--json", "--engine", "proof"],
+    ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "search", "--seed", "3", "--iters", "40"],
+    ["export", "sqrt", "--m", "5", "--engine", "proof"],
+    ["export", "sqrt", "--m", "5", "--engine", "exhaustive", "--threads", "2"],
+    ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search",
+     "--depth", "3", "--iters", "20", "--seed", "5"],
+    ["export", "even-m", "--m", "4", "--which", "C1", "--engine", "auto", "--budget", "2"],
+    ["export", "even-m", "--m", "6", "--which", "C2", "--engine", "search", "--depth", "1"],
+    ["export", "two-prime", "--p", "3", "--engine", "proof", "--output", SCRATCH + "/tp3.json"],
+    ["export", "weight-class", "--m", "9", "--i", "1", "--output", SCRATCH + "/wc9.json"],
+)
+
+VERIFY = (
+    ["verify-paper"],
+    ["verify-paper", "--json"],
+    ["verify-paper", "--all", "--json"],
+    ["verify-paper", "--fixture", "example1"],
+    ["verify-paper", "--fixture", "weight-class-m9-*", "--json"],
+    ["verify-paper", "--fixture", "no-such-fixture"],
+)
+
+ERRORS = (
+    [],
+    ["frobnicate"],
+    ["construct"],
+    ["construct", "even-m", "--m", "5", "--which", "C1", "--json"],
+    ["construct", "even-m", "--m", "6"],
+    ["construct", "two-prime", "--p", "4", "--json"],
+    ["construct", "odd-pq", "--p1", "5", "--p2", "3", "--json"],
+    ["construct", "sqrt", "--m", "7", "--choose", "21,x"],
+    ["construct", "sqrt", "--m", "7", "--choose", "21,22", "--json"],
+    ["construct", "weight-class", "--m", "7", "--i", "0"],
+    ["analyze", SCRATCH + "/m4.txt", "--m", "40"],
+    ["analyze", SCRATCH + "/missing.txt", "--m", "4"],
+    ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--engine", "search", "--depth", "4"],
+    ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--engine", "search", "--iters", "0"],
+    ["export", "two-prime", "--p", "3", "--engine", "exhaustive", "--budget", "10"],
+    ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "proof"],
+    ["export", "odd-pq", "--p1", "3", "--p2", "5", "--output", SCRATCH + "/no-such-dir/x.json"],
+)
+
+
+def commands() -> list[list[str]]:
+    """The fixed command list, in the order it is recorded."""
+    out: list[list[str]] = [["cosets", "--m", "4"], ["cosets", "--m", "6"]]
+    for fam in SMALL_FAMILIES:
+        out.append(["construct"] + fam + ["--json"])
+        out.append(["export"] + fam)
+    for fam in SMALL_FAMILIES[::4]:
+        out.append(["construct"] + fam)
+        out.append(["construct"] + fam + ["--hex"])
+        out.append(["construct"] + fam + ["--elements-only"])
+    out.extend(LARGE)
+    out.extend(ENGINE_RUNS)
+    out.extend(VERIFY)
+    out.extend(ERRORS)
+    return out
+
+
+_SECONDS_JSON = re.compile(r'"seconds": [-+0-9.eE]+')
+_SECONDS_HUMAN = re.compile(r"\(\d+\.\d+s\)")
+
+
+def _mask(text: str) -> str:
+    return _SECONDS_HUMAN.sub("(*s)", _SECONDS_JSON.sub('"seconds": "*"', text))
+
+
+def _run(run_command, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(outdir: Path, run_command) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        # analyze reads residues from files: the [15,7] code and two-prime p = 3's [63,32]
+        _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
+        Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
+        Path(scratch, "p3.txt").write_text(p3_residues, encoding="utf-8")
+        cmds = commands()
+        for i, template in enumerate(cmds):
+            argv = [a.replace(SCRATCH, scratch) for a in template]
+            t0 = time.perf_counter()
+            code, out, err = _run(run_command, argv)
+            elapsed = time.perf_counter() - t0
+            parts = [f"argv: {' '.join(template)}\n", f"exit: {code}\n",
+                     "--- stderr\n", err.replace(scratch, SCRATCH), "--- stdout\n", _mask(out)]
+            if "--output" in argv:
+                target = Path(argv[argv.index("--output") + 1])
+                written = target.read_text(encoding="utf-8") if target.exists() else "<none>\n"
+                parts += ["--- output file\n", written]
+            slug = re.sub(r"[^A-Za-z0-9.,=-]+", "_", "_".join(template).replace(SCRATCH, ""))
+            (outdir / f"{i:03d}{'_' + slug if slug else ''}.txt").write_text("".join(parts), encoding="utf-8")
+            print(f"{i:3d} exit {code} {elapsed:7.2f}s  {' '.join(template)}", file=sys.stderr)
+    return len(cmds)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory holding the bincyclic package")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    from bincyclic.cli import run_command
+
+    count = record(args.outdir, run_command)
+    print(f"{count} commands recorded in {args.outdir}")
+
+
+if __name__ == "__main__":
+    main()
