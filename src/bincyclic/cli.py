@@ -190,11 +190,14 @@ def _json_parts(value, pad: str, out: list[str]) -> None:
     for ``value`` with a 2-space indent, nested at indent ``pad``.
 
     An indent makes CPython fall back to its pure-Python encoder, which
-    takes seconds on a defining set of 2M residues.  Every list or tuple
-    is rendered flat by the C encoder first; a body of digits, commas,
-    spaces and minus signs only is a list of ints and is re-indented as
-    text.  Anything else (bools, floats, strings, null, containers)
-    leaves other characters and is laid out element by element.
+    takes seconds on a defining set of 2M residues.  A list or tuple that
+    starts with an int, or with a list that starts with an int, is
+    rendered flat by the C encoder first.  A body of digits, commas,
+    spaces and minus signs only is a list of ints, and one of bracketed
+    such bodies a list of non-empty int lists; both are re-indented as
+    text.  Anything else (bools, floats, strings, null, other containers)
+    is laid out element by element.  Other lists, such as lists of dicts,
+    are not rendered flat, so their items are not encoded twice.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value:
@@ -203,10 +206,19 @@ def _json_parts(value, pad: str, out: list[str]) -> None:
         entries = [(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", item)
                    for key, item in value.items()]
     elif isinstance(value, (list, tuple)) and value:
-        flat = json.dumps(value)[1:-1]
-        if re.fullmatch(r"[0-9, -]*", flat):
-            out += ("[\n", inner, flat.replace(", ", ",\n" + inner), "\n", pad, "]")
-            return
+        first = value[0]
+        nested = isinstance(first, (list, tuple))
+        if isinstance(first, int) or (nested and first and isinstance(first[0], int)):
+            flat = json.dumps(value)
+            if not nested and re.fullmatch(r"\[[0-9, -]*\]", flat):
+                out += ("[\n", inner, flat[1:-1].replace(", ", ",\n" + inner), "\n", pad, "]")
+                return
+            if nested and re.fullmatch(r"\[\[[0-9, -]+\](, \[[0-9, -]+\])*\]", flat):
+                deeper = inner + "  "
+                rows = flat[2:-2].replace(", ", ",\n" + deeper).replace(
+                    "],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper)
+                out += ("[\n", inner, "[\n", deeper, rows, "\n", inner, "]\n", pad, "]")
+                return
         opening, closing = "[", "]"
         entries = [("", item) for item in value]
     else:

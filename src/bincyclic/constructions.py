@@ -35,6 +35,7 @@ from typing import Callable, ClassVar, Mapping, Union
 import numpy as np
 
 from .cosets import CosetTable, _is_prime, build_table, classify_by_size, weight_classes
+from .gf2 import InvariantError
 
 
 class SelectionError(ValueError):
@@ -115,6 +116,11 @@ class DefiningSet:
         }
 
 
+def _check_size(z: DefiningSet, size: int) -> None:
+    if len(z) != size:
+        raise InvariantError(f"|Z| = {len(z)}, expected {size}")
+
+
 # ---------------------------------------------------------------------------
 # even m
 # ---------------------------------------------------------------------------
@@ -132,7 +138,8 @@ def _complement_pairs(table: CosetTable, resid_mask: np.ndarray) -> list[tuple[i
         if ell in seen:
             continue
         partner = int(table.leader_of[n - ell])
-        assert partner in resid_leaders and partner != ell, "complement pairing broke"
+        if partner not in resid_leaders or partner == ell:
+            raise InvariantError(f"coset {ell} has no distinct complement partner")
         seen.update((ell, partner))
         pairs.append((ell, partner))  # ell < partner by ascending scan
     return pairs
@@ -204,17 +211,23 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     p2_mask = np.zeros(size, dtype=bool)
     p1_mask[:n] = table.union_mask([a for a, _ in pairs])
     p2_mask[:n] = table.union_mask([b for _, b in pairs])
-    assert not (p1_mask & p2_mask).any()
-    assert ((p1_mask | p2_mask) == resid_mask).all(), "pairs must tile the residual layer"
+    if (p1_mask & p2_mask).any():
+        raise InvariantError("the two pair halves must not meet")
+    if not ((p1_mask | p2_mask) == resid_mask).all():
+        raise InvariantError("pairs must tile the residual layer")
     p1_elems = np.flatnonzero(p1_mask)
     p2_elems = np.flatnonzero(p2_mask)
-    assert set((n - p2_elems).tolist()) == set(p1_elems.tolist())
+    if set((n - p2_elems).tolist()) != set(p1_elems.tolist()):
+        raise InvariantError("the second pair half must be the negation of the first")
 
     s1 = (w < t) | b_mask | t_mask | p1_mask
     s2 = ((w > t) & ~b_mask) | g_mask | p2_mask
-    assert not (s1 & s2).any() and (s1 | s2).all(), "the two halves must tile F_2^m"
-    assert int(s1.sum()) == int(s2.sum()) == size // 2
-    assert s1[0] and s1[n], "0 and the all-ones vector belong to the first half"
+    if (s1 & s2).any() or not (s1 | s2).all():
+        raise InvariantError("the two halves must tile F_2^m")
+    if not int(s1.sum()) == int(s2.sum()) == size // 2:
+        raise InvariantError(f"halves of {int(s1.sum())} and {int(s2.sum())}, expected {size // 2}")
+    if not (s1[0] and s1[n]):
+        raise InvariantError("0 and the all-ones vector must belong to the first half")
 
     z1_mask = s1[:n].copy()
     z1_mask[0] = False
@@ -223,7 +236,8 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     origin = {"construction": "even-m", "m": m, "swap_pairs": swap_pairs}
     z1 = DefiningSet.from_mask(n, z1_mask, {**origin, "which": "C1"})
     z2 = DefiningSet.from_mask(n, z2_mask, {**origin, "which": "C2"})
-    assert len(z1) == 2 ** (m - 1) - 2 and len(z2) == 2 ** (m - 1)
+    _check_size(z1, 2 ** (m - 1) - 2)
+    _check_size(z2, 2 ** (m - 1))
 
     audit = EvenMAudit(
         m=m,
@@ -249,7 +263,7 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
 def _exact_div(a: int, b: int, what: str) -> int:
     q, r = divmod(a, b)
     if r:
-        raise AssertionError(f"{what}: {a} is not divisible by {b}")
+        raise InvariantError(f"{what}: {a} is not divisible by {b}")
     return q
 
 
@@ -282,7 +296,7 @@ def _greedy_select(
     full_set = set(full_leaders)
     f_leaders = tuple(v for v in met if v in full_set)
     if not f_leaders:
-        raise AssertionError("no full-size coset meets the run block")
+        raise InvariantError("no full-size coset meets the run block")
     sigma0 = full_leaders.index(max(f_leaders)) + 1
     tail_leaders = {int(table.leader_of[n - i]) for i in range(1, tail_len + 1)}
 
@@ -291,7 +305,8 @@ def _greedy_select(
         sigma = sigma0
         chosen_full = full_leaders[:sigma0]
         n_secondary = direct_allotment(sigma0)
-        assert 0 <= n_secondary <= len(secondary_leaders)
+        if not 0 <= n_secondary <= len(secondary_leaders):
+            raise InvariantError(f"allotment {n_secondary} outside 0..{len(secondary_leaders)}")
         chosen_secondary = secondary_leaders[:n_secondary]
     else:
         case = "extended"
@@ -299,12 +314,14 @@ def _greedy_select(
         admissible = (ell for ell in full_leaders[sigma0:] if ell not in tail_leaders)
         chosen_full = full_leaders[:sigma0] + tuple(islice(admissible, sigma_lo - sigma0))
         if len(chosen_full) != sigma_lo:
-            raise AssertionError("ran out of admissible cosets during extension")
+            raise InvariantError("ran out of admissible cosets during extension")
         chosen_secondary = secondary_leaders
 
     mask = table.union_mask(base_leaders + chosen_full + chosen_secondary)
-    assert mask[1 : d0_max + 1].all(), "the guaranteed run must sit inside Z"
-    assert not mask[n - tail_len :].any(), "the dual tail must stay outside Z"
+    if not mask[1 : d0_max + 1].all():
+        raise InvariantError("the guaranteed run must sit inside Z")
+    if mask[n - tail_len :].any():
+        raise InvariantError("the dual tail must stay outside Z")
     trace = {
         "f_leaders": f_leaders,
         "sigma0": sigma0,
@@ -371,7 +388,7 @@ def build_two_prime(p: int):
         direct_allotment=lambda sigma0: m_main - 2 * sigma0,
     )
     z = DefiningSet.from_mask(n, mask, {"construction": "two-prime", "p": p, "m": m})
-    assert len(z) == 2 ** (m - 1) - 1
+    _check_size(z, 2 ** (m - 1) - 1)
 
     audit = TwoPrimeAudit(p=p, m=m, d0_max=d0_max, chosen_small_leaders=chosen_small, **trace)
     return z, audit
@@ -440,8 +457,9 @@ def build_odd_pq(p1: int, p2: int):
         direct_allotment=lambda sigma0: mid_total - p1 * sigma0,
     )
     z = DefiningSet.from_mask(n, mask, {"construction": "odd-pq", "p1": p1, "p2": p2, "m": m})
-    assert len(z) == 2 ** (m - 1) - 1
-    assert not mask[0], "0 stays outside Z"
+    _check_size(z, 2 ** (m - 1) - 1)
+    if mask[0]:
+        raise InvariantError("0 must stay outside Z")
 
     audit = OddPqAudit(
         p1=p1,
@@ -494,7 +512,8 @@ def build_sqrt_complement(m: int, overrides=None):
     t_mask = table.union_mask(t_leaders)
     neg_idx = (n - np.arange(n, dtype=np.int64)) % n
     neg_t_mask = t_mask[neg_idx]
-    assert not (t_mask & neg_t_mask).any(), "block and negated block must not meet"
+    if (t_mask & neg_t_mask).any():
+        raise InvariantError("block and negated block must not meet")
     neg_t_leaders = tuple(int(v) for v in np.unique(table.leader_of[np.flatnonzero(neg_t_mask)]))
 
     resid_mask = ~t_mask & ~neg_t_mask
@@ -531,7 +550,7 @@ def build_sqrt_complement(m: int, overrides=None):
             "overrides": None if overrides_used is None else list(overrides_used),
         },
     )
-    assert len(z) == 2 ** (m - 1) - 1
+    _check_size(z, 2 ** (m - 1) - 1)
 
     audit = SqrtComplementAudit(
         m=m,
@@ -619,13 +638,16 @@ def build_weight_class(m: int, i: int):
     )
     inter_mask = a_mask & b_all_mask
     inter_leaders = sorted(int(v) for v in np.unique(table.leader_of[np.flatnonzero(inter_mask)]))
-    assert inter_leaders == expected_inter, "four-coset intersection identity failed"
+    if inter_leaders != expected_inter:
+        raise InvariantError(f"A ∩ B meets cosets {inter_leaders}, expected {expected_inter}")
     # The four top-block residues never land in the negated block.
     excluded_top = tuple(2 ** (half + 2) - j for j in (9, 11, 13, 15))
-    assert not any(b_all_mask[x] for x in excluded_top)
+    if any(b_all_mask[x] for x in excluded_top):
+        raise InvariantError(f"a residue of {excluded_top} lies in the negated block")
     # The i-parity slice of the intersection is exactly C_t ∪ C_u.
     tu_mask = table.union_mask(sorted({lead(t_val), lead(u_val)}))
-    assert ((a_mask & b0_mask) == tu_mask).all(), "B0 ∩ A must be C_t ∪ C_u"
+    if not ((a_mask & b0_mask) == tu_mask).all():
+        raise InvariantError("B0 ∩ A must be C_t ∪ C_u")
 
     sv_mask = table.union_mask(sorted({lead(s_val), lead(v_val)}))
     b1_mask = wc.mask(1 ^ i) & ~((b0_mask & ~tu_mask) | sv_mask)
@@ -636,9 +658,11 @@ def build_weight_class(m: int, i: int):
     # outside A; at (m, i) = (9, 0) the orbit of v = 49 dips to 35 <= L,
     # C_v is absorbed by the low block, and the set comes out m larger.
     # The run/containment guarantees below hold regardless.
-    assert t_total[1 : L + 1].all(), "the low block must sit inside T"
+    if not t_total[1 : L + 1].all():
+        raise InvariantError("the low block must sit inside T")
     neg_mask = t_total[(n - np.arange(n, dtype=np.int64)) % n]
-    assert not neg_mask[: 2**half - 1].any(), "low residues must avoid -T"
+    if neg_mask[: 2**half - 1].any():
+        raise InvariantError("low residues must avoid -T")
 
     audit = WeightClassAudit(
         m=m,

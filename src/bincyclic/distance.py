@@ -5,9 +5,9 @@ Three engines share one result type:
 * :func:`exact_min_distance` enumerates every nonzero message in Gray
   order, so consecutive codewords differ by one XOR with a shifted copy
   of the generator.  The low bits of the message index a precomputed
-  block of XOR combinations kept as a bit-packed matrix; one numpy
-  popcount sweep scores a whole block.  Exact, and independent of the
-  number of workers.
+  block of XOR combinations kept as a bit-packed matrix; one XOR and
+  popcount pass into buffers allocated once scores a whole block.
+  Exact, and independent of the number of workers.
 * :func:`proven_min_distance` enumerates systematic messages by
   information weight on one window of k consecutive positions.  Any k
   cyclically consecutive positions form an information set, so every
@@ -165,9 +165,12 @@ def _scan_range(
 
     Returns (best weight, canonical witness, messages scored).  The base
     codeword for t_start is rebuilt from gray(t_start); each later step
-    XORs in the single toggled row, so the walk is one row-XOR per block.
+    XORs in the single toggled row.  A step allocates nothing: it XORs the
+    block into ``scratch`` and adds the lanes' popcounts into ``weights``,
+    whose dtype holds 64 * lanes + 1 (uint8 up to n = 191), so its maximum
+    marks the skipped zero message.
     """
-    lanes = combos.shape[1]
+    rows, lanes = combos.shape
     base = np.zeros(lanes, dtype=np.uint64)
     gray = t_start ^ (t_start >> 1)
     j = 0
@@ -176,33 +179,27 @@ def _scan_range(
             base ^= high_rows[j]
         j += 1
 
-    flat = lanes == 1
-    combos_flat = combos[:, 0] if flat else combos
     scratch = np.empty_like(combos)
-    weights = np.empty(combos.shape[0], dtype=np.int64)
+    weights = np.empty(rows, dtype=np.min_scalar_type(64 * lanes + 1))
+    lane_counts = np.empty(rows, dtype=np.uint8)
     best_w = 1 << 30
     best_wit = 0
     scored = 0
     for t in range(t_start, t_stop):
         if t != t_start:
             base ^= high_rows[_ntz(t)]
-        if flat:
-            w = np.bitwise_count(combos_flat ^ base[0])
-        else:
-            np.bitwise_xor(combos, base, out=scratch)
-            w = np.bitwise_count(scratch).sum(axis=1, dtype=np.int64)
-        np.copyto(weights, w, casting="unsafe")
+        np.bitwise_xor(combos, base, out=scratch)
+        np.bitwise_count(scratch[:, 0], out=weights)
+        for lane in range(1, lanes):
+            np.bitwise_count(scratch[:, lane], out=lane_counts)
+            weights += lane_counts
         if skip_zero and t == 0:
-            weights[0] = 1 << 30
+            weights[0] = np.iinfo(weights.dtype).max
             scored -= 1
-        scored += combos.shape[0]
+        scored += rows
         wmin = int(weights.min())
         if wmin <= best_w:
-            hits = np.flatnonzero(weights == wmin)
-            if flat:
-                cand = min(int(combos_flat[i] ^ base[0]) for i in hits)
-            else:
-                cand = min(_lanes_to_int(combos[i] ^ base) for i in hits)
+            cand = min(_lanes_to_int(word) for word in scratch[weights == wmin])
             if wmin < best_w or cand < best_wit:
                 best_w, best_wit = wmin, cand
     return best_w, best_wit, scored

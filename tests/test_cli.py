@@ -335,9 +335,20 @@ _MIXED_INT_LISTS = st.builds(
     st.one_of(st.booleans(), st.floats(allow_nan=True, allow_infinity=True)),
     st.integers(min_value=0, max_value=20),
 )
+# lists of short int lists, such as the audits' residual pairs; inner lists may be empty
+_INT_ROWS = st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=3)
+_INT_LIST_LISTS = st.lists(_INT_ROWS | _INT_ROWS.map(tuple), max_size=6)
+# a list of int lists with one other item mixed in must not take the nested path
+_MIXED_INT_LIST_LISTS = st.builds(
+    lambda rows, odd, at: rows[:at] + [odd] + rows[at:],
+    _INT_LIST_LISTS,
+    st.one_of(_JSON_SCALARS, _MIXED_INT_LISTS, st.lists(_INT_LIST_LISTS, max_size=2)),
+    st.integers(min_value=0, max_value=6),
+)
 _JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
 _PAYLOADS = st.recursive(
-    _JSON_SCALARS | _INT_LISTS | _INT_LISTS.map(tuple) | _MIXED_INT_LISTS,
+    _JSON_SCALARS | _INT_LISTS | _INT_LISTS.map(tuple) | _MIXED_INT_LISTS
+    | _INT_LIST_LISTS | _MIXED_INT_LIST_LISTS,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),

@@ -1,7 +1,14 @@
 """Defining-set builders: frozen traces, regressions, and failure modes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import bincyclic
 
 from bincyclic.constructions import (
     DefiningSet,
@@ -292,3 +299,63 @@ class TestOrigins:
         dual = dual_defining_set(z)
         assert dual.origin["construction"] == "dual"
         assert dual.origin["of"]["construction"] == "two-prime"
+
+
+CORRUPTED_BUILDER_SCRIPT = """
+import contextlib
+import dataclasses
+import io
+import bincyclic.constructions as cs
+from bincyclic import InvariantError
+from bincyclic.cli import run_command
+from bincyclic.cosets import CosetTable
+
+if __debug__:
+    raise SystemExit("not running under -O")
+
+def raises(call):
+    try:
+        call()
+    except InvariantError as exc:
+        return str(exc)
+    raise SystemExit("no InvariantError")
+
+class LosesCosetOne(CosetTable):
+    def union_mask(self, leaders):
+        return super().union_mask([x for x in leaders if x != 1])
+
+real_table, real_pairs = cs.build_table, cs._complement_pairs
+cs.build_table = lambda m: LosesCosetOne(
+    **{f.name: getattr(real_table(m), f.name) for f in dataclasses.fields(CosetTable)})
+print(raises(lambda: cs.build_two_prime(3)))
+print(raises(lambda: cs.build_odd_pq(3, 5)))
+print(raises(lambda: cs.build_sqrt_complement(7)))
+print(raises(lambda: cs.build_weight_class(9, 1)))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    print("exit", run_command(["construct", "two-prime", "--p", "3", "--json"]))
+print(err.getvalue().strip())
+cs.build_table = real_table
+cs._complement_pairs = lambda table, mask: real_pairs(table, mask)[1:]  # one pair lost
+print(raises(lambda: cs.build_even_m(6)))
+"""
+
+
+def test_corrupted_builders_raise_under_python_O():
+    # each builder kind, fed a coset table whose masks lose the coset of 1
+    # or a pairing that loses one pair, must stop with InvariantError
+    src = Path(bincyclic.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_BUILDER_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines() == [
+        "the guaranteed run must sit inside Z",
+        "the guaranteed run must sit inside Z",
+        "|Z| = 56, expected 63",
+        "the low block must sit inside T",
+        "exit 1",
+        "error: the guaranteed run must sit inside Z",
+        "pairs must tile the residual layer",
+    ]

@@ -35,6 +35,7 @@ from bincyclic.distance import (
     DistanceCertificate,
     _lanes_to_int,
     _popcount,
+    _scan_range,
     _subset_blocks,
     _to_lanes,
     auto_distance,
@@ -154,6 +155,171 @@ class TestParallelDeterminism:
         witnesses = {r.witness for r in results}
         assert len(distances) == 1 and len(witnesses) == 1
         assert results[0].witness.bit_count() == results[0].exact_distance
+
+
+# -- the Gray sweep's kernel ----------------------------------------------
+
+
+def _reference_scan_range(combos, high_rows, t_start, t_stop, skip_zero):
+    """The Gray sweep's earlier per-step body, kept as the kernel's
+    reference: fresh XOR and popcount arrays at every step, int64 weights
+    and a separate one-lane branch."""
+    lanes = combos.shape[1]
+    base = np.zeros(lanes, dtype=np.uint64)
+    gray = t_start ^ (t_start >> 1)
+    j = 0
+    while gray >> j:
+        if (gray >> j) & 1:
+            base ^= high_rows[j]
+        j += 1
+
+    flat = lanes == 1
+    combos_flat = combos[:, 0] if flat else combos
+    scratch = np.empty_like(combos)
+    weights = np.empty(combos.shape[0], dtype=np.int64)
+    best_w = 1 << 30
+    best_wit = 0
+    scored = 0
+    for t in range(t_start, t_stop):
+        if t != t_start:
+            base ^= high_rows[(t & -t).bit_length() - 1]
+        if flat:
+            w = np.bitwise_count(combos_flat ^ base[0])
+        else:
+            np.bitwise_xor(combos, base, out=scratch)
+            w = np.bitwise_count(scratch).sum(axis=1, dtype=np.int64)
+        np.copyto(weights, w, casting="unsafe")
+        if skip_zero and t == 0:
+            weights[0] = 1 << 30
+            scored -= 1
+        scored += combos.shape[0]
+        wmin = int(weights.min())
+        if wmin <= best_w:
+            hits = np.flatnonzero(weights == wmin)
+            if flat:
+                cand = min(int(combos_flat[i] ^ base[0]) for i in hits)
+            else:
+                cand = min(_lanes_to_int(combos[i] ^ base) for i in hits)
+            if wmin < best_w or cand < best_wit:
+                best_w, best_wit = wmin, cand
+    return best_w, best_wit, scored
+
+
+def _sweep_inputs(code, h):
+    """The Gray sweep's block of 2^h low-bit combinations and its high rows."""
+    lanes = (code.n + 63) // 64
+    rows = _to_lanes([code.generator << i for i in range(code.dimension)], lanes)
+    combos = np.zeros((1, lanes), dtype=np.uint64)
+    for b in range(h):
+        combos = np.vstack([combos, combos ^ rows[b]])
+    return combos, rows[h:]
+
+
+def _codes_of_dimension(m, dims, seed):
+    """One seeded doubling-closed set over n = 2^m - 1 for each k in ``dims``."""
+    n = 2**m - 1
+    table = build_table(m)
+    leaders = list(table.leaders)
+    rng = random.Random(seed)
+    out = {}
+    while len(out) < len(dims):
+        mask = table.union_mask(rng.sample(leaders, rng.randrange(1, len(leaders))))
+        k = n - int(mask.sum())
+        if k in dims and k not in out:
+            out[k] = assemble(DefiningSet.from_mask(n, mask, {"construction": "random"}))
+    return [out[k] for k in dims]
+
+
+def _enumerated_min_distance(code):
+    """(weight, canonical witness) over every nonzero message, as a GF(2)
+    matrix product of all messages with the generator matrix."""
+    n, k = code.n, code.dimension
+    g = np.array([(code.generator >> j) & 1 for j in range(n)], dtype=np.float32)
+    gen = np.stack([np.roll(g, i) for i in range(k)])  # rows g * x^i, no wrap below x^n
+    msgs = np.arange(1, 1 << k, dtype=np.int64)
+    bits = ((msgs[:, None] >> np.arange(k)) & 1).astype(np.float32)
+    words = (bits @ gen).astype(np.int64) % 2
+    weights = words.sum(axis=1)
+    best = int(weights.min())
+    witness = min(int("".join(map(str, row[::-1])), 2) for row in words[weights == best])
+    return best, witness
+
+
+@functools.lru_cache(maxsize=None)
+def _two_lane_code():
+    """A seeded coset union over n = 127 with k = 15: two uint64 lanes."""
+    return _codes_of_dimension(7, (15,), 91)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _four_lane_code():
+    """A seeded coset union over n = 255 with k = 16: four uint64 lanes."""
+    return _codes_of_dimension(8, (16,), 92)[0]
+
+
+def _segments(total):
+    """The whole range, the first step alone and a zero-start prefix (all
+    skipping the zero message), a span from a non-zero Gray start, and a
+    single last step."""
+    return [(0, total, True), (0, 1, True), (0, 3, True), (5, total - 2, False), (total - 1, total, False)]
+
+
+class TestScanRangeKernel:
+    def test_matches_reference_on_one_lane(self):
+        for code in _codes_of_dimension(6, range(17, 23), 93):
+            combos, high_rows = _sweep_inputs(code, 10)
+            for lo, hi, skip in _segments(1 << len(high_rows)):
+                got = _scan_range(combos, high_rows, lo, hi, skip)
+                want = _reference_scan_range(combos, high_rows, lo, hi, skip)
+                assert got == want, (code.dimension, lo, hi)
+
+    @pytest.mark.parametrize("lanes", [2, 4])
+    def test_matches_reference_on_many_lanes(self, lanes):
+        code = _two_lane_code() if lanes == 2 else _four_lane_code()
+        combos, high_rows = _sweep_inputs(code, 6)
+        assert combos.shape[1] == lanes
+        for lo, hi, skip in _segments(1 << len(high_rows)):
+            got = _scan_range(combos, high_rows, lo, hi, skip)
+            assert got == _reference_scan_range(combos, high_rows, lo, hi, skip), (lo, hi)
+
+    def test_two_lane_sweep_matches_enumeration(self):
+        code = _two_lane_code()
+        result = exact_min_distance(code)
+        assert (result.exact_distance, result.witness) == _enumerated_min_distance(code)
+        assert result.iterations == (1 << code.dimension) - 1
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 14])
+    def test_thread_counts_agree_on_two_lanes(self, monkeypatch, block_bytes):
+        # a 16 KB block leaves 2^10 combinations, so 2 and 8 workers really split
+        if block_bytes is not None:
+            monkeypatch.setattr("bincyclic.distance._BLOCK_BYTES", block_bytes)
+        code = _two_lane_code()
+        results = {exact_min_distance(code, threads=t) for t in (1, 2, 8)}
+        assert len(results) == 1
+        assert results.pop().iterations == (1 << code.dimension) - 1
+
+    def test_two_lane_sweep_under_python_O(self):
+        code = _two_lane_code()
+        want = exact_min_distance(code)
+        script = (
+            "from bincyclic.codecore import assemble\n"
+            "from bincyclic.constructions import DefiningSet\n"
+            "from bincyclic.distance import exact_min_distance\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            f"code = assemble(DefiningSet.from_elements(127, {list(code.defining_set)}))\n"
+            "r = exact_min_distance(code, threads=2)\n"
+            "print(r.method, r.exact_distance, r.witness, r.iterations)\n"
+        )
+        src = Path(bincyclic.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.split() == [
+            "exhaustive", str(want.exact_distance), str(want.witness), str(want.iterations)
+        ]
 
 
 @pytest.fixture(scope="module")

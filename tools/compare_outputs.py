@@ -15,9 +15,10 @@ record any revision.
 The list covers ``construct --json`` and ``export`` for every family at
 several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
-and ``--i``), ``analyze`` and ``export`` with each distance engine,
-``verify-paper`` (fast and ``--all``, JSON and human) and the error
-cases with their exit codes.
+and ``--i``), ``analyze`` and ``export`` with each distance engine
+(the exhaustive sweep also on two-lane codes of length 127, once with
+two threads), ``verify-paper`` (fast and ``--all``, JSON and human) and
+the error cases with their exit codes.
 """
 
 from __future__ import annotations
@@ -59,12 +60,22 @@ LARGE = (
 #: The cosets of 1 and 3 mod 15 (a [15,7,5] code), for ``analyze``.
 M4_RESIDUES = "1 2 3 4 6 8 9 12"
 
+
+def _m7_residues(outside: tuple[int, ...]) -> str:
+    """Every residue mod 127 outside the cyclotomic cosets of ``outside``:
+    a code of dimension 15 or 22 on two uint64 lanes, for ``analyze``."""
+    free = {(x << j) % 127 for x in outside for j in range(7)}
+    return " ".join(str(r) for r in range(127) if r not in free)
+
+
 ENGINE_RUNS = (
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--json"],
     ["analyze", SCRATCH + "/m4.txt", "--m", "4"],
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--hex", "--engine", "exhaustive"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--json", "--engine", "proof"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "search", "--seed", "3", "--iters", "40"],
+    ["analyze", SCRATCH + "/m7k15.txt", "--m", "7", "--engine", "exhaustive", "--json"],
+    ["analyze", SCRATCH + "/m7k22.txt", "--m", "7", "--engine", "exhaustive", "--threads", "2", "--json"],
     ["export", "sqrt", "--m", "5", "--engine", "proof"],
     ["export", "sqrt", "--m", "5", "--engine", "exhaustive", "--threads", "2"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search",
@@ -140,10 +151,13 @@ def _run(run_command, argv: list[str]) -> tuple[int, str, str]:
 def record(outdir: Path, run_command) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        # analyze reads residues from files: the [15,7] code and two-prime p = 3's [63,32]
+        # analyze reads residues from files: the [15,7] code, two-prime p = 3's [63,32]
+        # and two codes of length 127
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
         Path(scratch, "p3.txt").write_text(p3_residues, encoding="utf-8")
+        Path(scratch, "m7k15.txt").write_text(_m7_residues((0, 1, 5)), encoding="utf-8")
+        Path(scratch, "m7k22.txt").write_text(_m7_residues((0, 1, 5, 9)), encoding="utf-8")
         cmds = commands()
         for i, template in enumerate(cmds):
             argv = [a.replace(SCRATCH, scratch) for a in template]
