@@ -17,6 +17,8 @@ Three engines share one result type:
   :func:`verify_distance_certificate` re-checks cheaply.
 * :func:`low_weight_search` repeatedly reduces the shift matrix of g on
   a random information set and scores all messages of weight <= depth.
+  The reductions run in numpy on batches of iterations at once, each
+  batch bounded by the tail-table ceiling whatever the iteration count.
   Fast for any dimension, returns an upper bound plus the run bound as
   ``proven_lower_bound``.
 
@@ -344,7 +346,9 @@ def _subset_blocks(rows: np.ndarray, tails: list, w: int):
     for head in combinations(range(k - t), w - t):
         start = int(offsets[head[-1] + 1]) if head else 0
         block = table[start:]
-        if head:
+        if len(head) == 1:
+            block = block ^ rows[head[0]]
+        elif head:
             block = block ^ np.bitwise_xor.reduce(rows[list(head)], axis=0)
         yield head, start, block
 
@@ -465,6 +469,56 @@ def verify_distance_certificate(code: CyclicCode, result: DistanceResult) -> Non
         )
 
 
+def _reduce_batch(rows: np.ndarray, perms: np.ndarray):
+    """Gauss-Jordan reduce the (k, lanes) row matrix once per column order.
+
+    ``perms`` is a (B, n) array of column orders.  Yields B (k, lanes)
+    arrays: basis b holds, in row i, the one word of the row space with a
+    1 in the i-th column of b's information set (the first k independent
+    columns of ``perms[b]``) and 0 in its other columns.  That basis is
+    fixed by the greedy pivot order alone, so it is the one a row-swapping
+    loop over the columns leaves.
+
+    The B reductions step through their columns together, on one
+    (lanes, B, k) array so that one gather reads every basis's bit in its
+    next column.  Each step takes, in each basis, the first row not yet a
+    pivot that has the bit, XORs it into the other rows that have the bit
+    (through an all-ones mask, lane by lane: a ``where=`` XOR is several
+    times slower) and records it; each basis is put in pivot order as it
+    is yielded.  Raises :class:`SearchError` if a basis runs out of
+    columns before it has k pivots.
+    """
+    batch, n = perms.shape
+    k = rows.shape[0]
+    basis = np.repeat(rows.T[:, None, :], batch, axis=1)
+    free = np.ones((batch, k), dtype=bool)
+    order = np.zeros((batch, k), dtype=np.intp)
+    filled = np.zeros(batch, dtype=np.intp)
+    at = np.arange(batch)
+    one = np.uint64(1)
+    masked = np.empty((batch, k), dtype=np.uint64)
+    for j in range(n):
+        col = perms[:, j]
+        bits = (basis[col >> 6, at] >> (col & 63).astype(np.uint64)[:, None]) & one
+        free_bits = bits.astype(bool) & free
+        pivot = free_bits.argmax(axis=1)
+        took = free_bits[at, pivot]
+        bits *= took[:, None]
+        bits[at, pivot] = 0
+        np.negative(bits, out=bits)  # 1 -> all ones
+        for lane, pivot_words in zip(basis, basis[:, at, pivot]):
+            lane ^= np.bitwise_and(bits, pivot_words[:, None], out=masked)
+        free[at[took], pivot[took]] = False
+        order[at[took], filled[took]] = pivot[took]
+        filled += took
+        if filled.min() == k:
+            break
+    if filled.min() < k:
+        raise SearchError("generator matrix lost rank during reduction")
+    for b in range(batch):
+        yield np.ascontiguousarray(basis[:, b, order[b]].T)
+
+
 def low_weight_search(
     code: CyclicCode, *, seed: int, iterations: int = 10000, depth: int = 2
 ) -> DistanceResult:
@@ -477,6 +531,13 @@ def low_weight_search(
     (weight, word) scored, which does not depend on scoring order.
     Deterministic for fixed (seed, iterations, depth), and consuming a
     fixed RNG amount per iteration, so longer runs extend shorter ones.
+
+    Iterations are reduced in batches by :func:`_reduce_batch`.  A batch
+    holds B bases of k x lanes uint64 words and their B column orders of
+    n words; B is the largest count that keeps these within the
+    ``_TAIL_WORDS`` that bound a tail table (at least one), so working
+    memory does not grow with ``iterations``.  The other working arrays
+    of a batch hold B * k words or fewer.
     """
     if depth not in (1, 2, 3):
         raise ValueError("depth must be 1, 2, or 3")
@@ -484,42 +545,26 @@ def low_weight_search(
         raise ValueError("iterations must be >= 1")
     n, k = code.n, code.dimension
     lanes = (n + 63) // 64
-    rows = [code.generator << i for i in range(k)]
+    rows = _to_lanes([code.generator << i for i in range(k)], lanes)
+    batch = max(1, _TAIL_WORDS // (k * lanes + n))
     rng = np.random.default_rng(seed)
 
     best_w = 1 << 30
     best_wit = 0
-    for _ in range(iterations):
-        perm = rng.permutation(n)
-        basis = rows.copy()
-        filled = 0
-        for col in perm:
-            col = int(col)
-            bit = 1 << col
-            pivot = next((r for r in range(filled, k) if basis[r] & bit), None)
-            if pivot is None:
-                continue
-            basis[filled], basis[pivot] = basis[pivot], basis[filled]
-            piv_row = basis[filled]
-            for r in range(k):
-                if r != filled and basis[r] & bit:
-                    basis[r] ^= piv_row
-            filled += 1
-            if filled == k:
-                break
-        if filled < k:
-            raise SearchError("generator matrix lost rank during reduction")
-
-        packed = _to_lanes(basis, lanes)
-        tails: list = []
-        for w in range(1, depth + 1):
-            for _, _, block in _subset_blocks(packed, tails, w):
-                counts = _popcount(block)
-                low = int(counts.min())
-                if low <= best_w:
-                    word = min(_lanes_to_int(block[i]) for i in np.flatnonzero(counts == low))
-                    if low < best_w or word < best_wit:
-                        best_w, best_wit = low, word
+    for done in range(0, iterations, batch):
+        perms = np.empty((min(batch, iterations - done), n), dtype=np.int64)
+        for perm in perms:
+            perm[:] = rng.permutation(n)
+        for basis in _reduce_batch(rows, perms):
+            tails: list = []
+            for w in range(1, depth + 1):
+                for _, _, block in _subset_blocks(basis, tails, w):
+                    counts = _popcount(block)
+                    low = int(counts.min())
+                    if low <= best_w:
+                        word = min(_lanes_to_int(block[i]) for i in np.flatnonzero(counts == low))
+                        if low < best_w or word < best_wit:
+                            best_w, best_wit = low, word
 
     _check_witness(code, best_w, best_wit)
 

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bincyclic
+from bincyclic import distance
 from bincyclic.cli import run_command
 from bincyclic.codecore import InvariantError, assemble, bch_lower_bound, dual_defining_set
 from bincyclic.constructions import (
@@ -33,6 +35,7 @@ from bincyclic.cosets import build_table
 from bincyclic.distance import (
     BudgetExceeded,
     DistanceCertificate,
+    SearchError,
     _lanes_to_int,
     _popcount,
     _scan_range,
@@ -374,6 +377,30 @@ class TestSearch:
 # -- the search scores through the shared subset enumerator ---------------
 
 
+def _gauss_jordan(rows, perm):
+    """Reference reduction: pure-Python Gauss-Jordan on int rows, swapping
+    each pivot into place.  Returns (basis, dependent columns met before
+    the basis was full)."""
+    k = len(rows)
+    basis = list(rows)
+    filled = dependent = 0
+    for col in perm:
+        bit = 1 << int(col)
+        pivot = next((r for r in range(filled, k) if basis[r] & bit), None)
+        if pivot is None:
+            dependent += 1
+            continue
+        basis[filled], basis[pivot] = basis[pivot], basis[filled]
+        for r in range(k):
+            if r != filled and basis[r] & bit:
+                basis[r] ^= basis[filled]
+        filled += 1
+        if filled == k:
+            break
+    assert filled == k
+    return basis, dependent
+
+
 def _unrolled_search(code, seed, iterations, depth):
     """Reference search: the same seeded reduction, then one pure-Python
     loop per depth over the reduced basis.  Returns (best weight, witness)."""
@@ -382,21 +409,7 @@ def _unrolled_search(code, seed, iterations, depth):
     rng = np.random.default_rng(seed)
     best_w, best_wit = 1 << 30, 0
     for _ in range(iterations):
-        perm = rng.permutation(n)
-        basis = rows.copy()
-        filled = 0
-        for col in perm:
-            bit = 1 << int(col)
-            pivot = next((r for r in range(filled, k) if basis[r] & bit), None)
-            if pivot is None:
-                continue
-            basis[filled], basis[pivot] = basis[pivot], basis[filled]
-            for r in range(k):
-                if r != filled and basis[r] & bit:
-                    basis[r] ^= basis[filled]
-            filled += 1
-            if filled == k:
-                break
+        basis, _ = _gauss_jordan(rows, rng.permutation(n))
         words = list(basis)
         if depth >= 2:
             words += [basis[a] ^ basis[b] for a in range(k) for b in range(a + 1, k)]
@@ -488,14 +501,20 @@ class TestSearchMatchesUnrolledReference:
         code = _search_codes()[7]  # the [127,63] sqrt-m7 dual: two lanes
         want = _unrolled_search(code, 5, 3, 3)
         script = (
+            "from types import SimpleNamespace\n"
+            "from bincyclic import distance\n"
             "from bincyclic.codecore import assemble, dual_defining_set\n"
             "from bincyclic.constructions import build_sqrt_complement\n"
-            "from bincyclic.distance import low_weight_search\n"
             "if __debug__:\n"
             "    raise SystemExit('not running under -O')\n"
             "z, _ = build_sqrt_complement(7, overrides=(21, 27))\n"
-            "r = low_weight_search(assemble(dual_defining_set(z)), seed=5, iterations=3, depth=3)\n"
+            "distance._TAIL_WORDS = 2 * (63 * 2 + 127)  # batches of 2 and 1\n"
+            "r = distance.low_weight_search(assemble(dual_defining_set(z)), seed=5, iterations=3, depth=3)\n"
             "print(r.best_weight_found, r.witness, r.iterations, r.seed)\n"
+            "try:\n"
+            "    distance.low_weight_search(SimpleNamespace(n=3, dimension=5, generator=0b11), seed=1)\n"
+            "except distance.SearchError:\n"
+            "    print('SearchError')\n"
         )
         src = Path(bincyclic.__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -503,7 +522,59 @@ class TestSearchMatchesUnrolledReference:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr + proc.stdout
-        assert proc.stdout.split() == [str(want[0]), str(want[1]), "3", "5"]
+        assert proc.stdout.split() == [str(want[0]), str(want[1]), "3", "5", "SearchError"]
+
+    @pytest.mark.parametrize("batch, sizes", [(1, [1] * 7), (3, [3, 3, 1]), (None, [7])])
+    def test_batches_of_any_size_give_the_same_result(self, monkeypatch, batch, sizes):
+        # a batch holds `batch` bases and their column orders: batch * (k * lanes + n) words
+        sizes_seen = []
+        reduce_batch = distance._reduce_batch
+
+        def spy(rows, perms):
+            sizes_seen.append(len(perms))
+            return reduce_batch(rows, perms)
+
+        monkeypatch.setattr("bincyclic.distance._reduce_batch", spy)
+        for index, code in enumerate(_search_codes()):
+            if batch is not None:
+                lanes = (code.n + 63) // 64
+                monkeypatch.setattr("bincyclic.distance._TAIL_WORDS",
+                                    batch * (code.dimension * lanes + code.n))
+            sizes_seen.clear()
+            got = low_weight_search(code, seed=40 + index, iterations=7, depth=2)
+            assert sizes_seen == sizes, (code.n, code.dimension)
+            assert (got.best_weight_found, got.witness) == _unrolled_search(code, 40 + index, 7, 2)
+
+    def test_five_hundred_twelve_rows_on_sixteen_lanes(self):
+        z, _ = build_two_prime(5)
+        code = assemble(z)  # [1023,512]
+        got = low_weight_search(code, seed=9, iterations=2, depth=2)
+        assert (code.n, code.dimension) == (1023, 512)
+        assert (got.best_weight_found, got.witness) == _unrolled_search(code, 9, 2, 2)
+        assert (got.iterations, got.seed) == (2, 9)
+
+    def test_rank_loss_raises_search_error(self):
+        # five shifts of x + 1 in three columns: the rows must be dependent
+        stub = SimpleNamespace(n=3, dimension=5, generator=0b11)
+        with pytest.raises(SearchError, match="lost rank"):
+            low_weight_search(stub, seed=1, iterations=2)
+
+
+def test_reduce_batch_matches_pure_python_gauss_jordan():
+    rng = np.random.default_rng(77)
+    dependent = 0
+    for code in _search_codes():
+        n, k = code.n, code.dimension
+        ints = [code.generator << i for i in range(k)]
+        perms = np.stack([rng.permutation(n) for _ in range(5)])
+        got = list(distance._reduce_batch(_to_lanes(ints, (n + 63) // 64), perms))
+        assert [basis.shape for basis in got] == [(k, (n + 63) // 64)] * 5
+        for basis, perm in zip(got, perms):
+            want, skipped = _gauss_jordan(ints, perm)
+            assert [_lanes_to_int(row) for row in basis] == want, (n, k)
+            dependent += skipped
+    # the orders meet dependent columns before their bases are full
+    assert dependent > 0
 
 
 class TestAutoDispatch:

@@ -17,7 +17,8 @@ several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
 and ``--i``), ``analyze`` and ``export`` with each distance engine
 (the exhaustive sweep also on two-lane codes of length 127, once with
-two threads), ``verify-paper`` (fast and ``--all``, JSON and human) and
+two threads; the search also for enough iterations to span several
+reduction batches), ``verify-paper`` (fast and ``--all``, JSON and human) and
 the error cases with their exit codes.
 """
 
@@ -82,6 +83,9 @@ ENGINE_RUNS = (
      "--depth", "3", "--iters", "20", "--seed", "5"],
     ["export", "even-m", "--m", "4", "--which", "C1", "--engine", "auto", "--budget", "2"],
     ["export", "even-m", "--m", "6", "--which", "C2", "--engine", "search", "--depth", "1"],
+    # searches long enough to span several reduction batches on [1023,512] and [127,64]
+    ["export", "two-prime", "--p", "5", "--engine", "search", "--iters", "20", "--depth", "2"],
+    ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search", "--iters", "700", "--depth", "1"],
     ["export", "two-prime", "--p", "3", "--engine", "proof", "--output", SCRATCH + "/tp3.json"],
     ["export", "weight-class", "--m", "9", "--i", "1", "--output", SCRATCH + "/wc9.json"],
 )
