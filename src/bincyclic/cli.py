@@ -22,6 +22,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .codecore import (
@@ -69,7 +70,9 @@ def _build_parser() -> _Parser:
     p_cosets.add_argument("--m", type=int, required=True, help="field degree, n = 2^m - 1")
 
     p_con = sub.add_parser("construct", help="build a defining set")
-    _add_family_args(p_con, (_add_output_args,))
+    for family_parser in _add_family_args(p_con):
+        _add_output_args(family_parser)
+        family_parser.set_defaults(engine="none", output=None)
 
     p_an = sub.add_parser("analyze", help="assemble a code from a defining set and measure it")
     p_an.add_argument("elements", nargs="?", default="-",
@@ -77,6 +80,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--m", type=int, required=True, help="field degree, n = 2^m - 1")
     _add_engine_args(p_an)
     _add_output_args(p_an, elements_only=False)
+    p_an.set_defaults(output=None)
 
     p_vp = sub.add_parser("verify-paper", help="re-check the embedded reference fixtures")
     p_vp.add_argument("--fixture", metavar="PATTERN",
@@ -87,19 +91,20 @@ def _build_parser() -> _Parser:
                            "proof engine")
     p_vp.add_argument("--json", action="store_true")
 
-    def _add_export_args(family_parser: _Parser) -> None:
+    p_ex = sub.add_parser("export", help="construct + optional analysis as one JSON document")
+    for family_parser in _add_family_args(p_ex):
         _add_engine_args(family_parser, default_engine="none")
         family_parser.add_argument("--output", metavar="FILE",
                                    help="write JSON here (default stdout)")
-
-    p_ex = sub.add_parser("export", help="construct + optional analysis as one JSON document")
-    _add_family_args(p_ex, (_add_export_args,))
+        family_parser.set_defaults(json=True, hex=False, elements_only=False)
 
     return parser
 
 
-def _add_family_args(parser: _Parser, extras=()) -> None:
+def _add_family_args(parser: _Parser) -> list[_Parser]:
+    """One subparser per family, holding that family's parameters."""
     fam = parser.add_subparsers(dest="family", metavar="family", required=True)
+    family_parsers = []
     for name, family in FAMILIES.items():
         f = fam.add_parser(name, help=family.help)
         for p in family.params:
@@ -111,8 +116,8 @@ def _add_family_args(parser: _Parser, extras=()) -> None:
                                metavar=p.metavar, required=p.required, help=p.help)
         if len(family.labels) > 1:
             f.add_argument("--which", choices=family.labels, required=True)
-        for extra in extras:
-            extra(f)
+        family_parsers.append(f)
+    return family_parsers
 
 
 def _add_engine_args(parser: _Parser, default_engine: str = "auto") -> None:
@@ -139,13 +144,6 @@ def _add_output_args(parser: _Parser, elements_only: bool = True) -> None:
     if elements_only:
         parser.add_argument("--elements-only", action="store_true",
                             help="print the sorted residues, one per line")
-
-
-def _construct(args) -> tuple[DefiningSet, object]:
-    family = FAMILIES[args.family]
-    params = {p.name: getattr(args, p.name) for p in family.params}
-    sets, audit = build_family(args.family, **params)
-    return dict(sets)[getattr(args, "which", family.labels[0])], audit
 
 
 def _poly_str(poly: Optional[int], use_hex: bool) -> str:
@@ -280,34 +278,43 @@ def _cmd_cosets(args) -> int:
     return EXIT_OK
 
 
-def _cmd_construct(args) -> int:
-    zset, audit = _construct(args)
+def _report(zset: DefiningSet, audit, args) -> int:
+    """Describe ``zset``, measure its distance unless the engine is
+    ``none``, and write the JSON envelope or the human summary."""
+    code = None if args.engine == "none" else assemble(zset)
+    report = describe(zset, generator=None if code is None else code.generator)
+    result = None if code is None else _run_distance(code, args)
+    if not args.json:
+        _print_report(report, args.hex)
+        if result is not None:
+            _print_distance(result)
+        return EXIT_OK
+    payload = {"schema": 1, "code": report.as_dict()}
+    if result is not None:
+        payload["distance"] = result.as_dict()
+    if audit is not None:
+        payload["audit"] = audit_as_dict(audit)
+    _emit_json(payload, args.output)
+    return EXIT_OK
+
+
+def _cmd_family(args) -> int:
+    """``construct`` and ``export``: build one family's set and report it."""
+    family = FAMILIES[args.family]
+    params = {p.name: getattr(args, p.name) for p in family.params}
+    sets, audit = build_family(args.family, **params)
+    zset = dict(sets)[getattr(args, "which", family.labels[0])]
     if args.elements_only:
         sys.stdout.write("".join(f"{x}\n" for x in zset))
         return EXIT_OK
-    report = describe(zset)
-    if args.json:
-        _emit_json({"schema": 1, "code": report.as_dict(), "audit": audit_as_dict(audit)})
-        return EXIT_OK
-    _print_report(report, args.hex)
-    return EXIT_OK
+    return _report(zset, audit, args)
 
 
 def _cmd_analyze(args) -> int:
     if not 2 <= args.m <= MAX_FIELD_DEGREE:
         raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {args.m}")
-    elements = _read_elements(args.elements)
-    n = 2**args.m - 1
-    zset = DefiningSet.from_elements(n, elements)
-    code = assemble(zset)
-    report = describe(zset, generator=code.generator)
-    result = _run_distance(code, args)
-    if args.json:
-        _emit_json({"schema": 1, "code": report.as_dict(), "distance": result.as_dict()})
-        return EXIT_OK
-    _print_report(report, args.hex)
-    _print_distance(result)
-    return EXIT_OK
+    zset = DefiningSet.from_elements(2**args.m - 1, _read_elements(args.elements))
+    return _report(zset, None, args)
 
 
 def _cmd_verify(args) -> int:
@@ -341,16 +348,7 @@ def _cmd_verify(args) -> int:
                         "id": fx.fixture_id,
                         "ok": rep.ok,
                         "seconds": rep.seconds,
-                        "rows": [
-                            {
-                                "code": row.code,
-                                "field": row.field,
-                                "expected": row.expected,
-                                "actual": row.actual,
-                                "ok": row.ok,
-                            }
-                            for row in rep.rows
-                        ],
+                        "rows": [asdict(row) for row in rep.rows],
                     }
                     for fx, rep in reports
                 ],
@@ -359,20 +357,6 @@ def _cmd_verify(args) -> int:
     else:
         print(f"{len(fixtures)} fixture(s): {len(fixtures) - failed} passed, {failed} failed")
     return EXIT_MISMATCH if failed else EXIT_OK
-
-
-def _cmd_export(args) -> int:
-    zset, audit = _construct(args)
-    payload: dict = {"schema": 1}
-    if args.engine == "none":
-        payload["code"] = describe(zset).as_dict()
-    else:
-        code = assemble(zset)
-        payload["code"] = describe(zset, generator=code.generator).as_dict()
-        payload["distance"] = _run_distance(code, args).as_dict()
-    payload["audit"] = audit_as_dict(audit)
-    _emit_json(payload, args.output)
-    return EXIT_OK
 
 
 def run_command(argv: Optional[list[str]] = None) -> int:
@@ -389,10 +373,10 @@ def run_command(argv: Optional[list[str]] = None) -> int:
 
     handlers = {
         "cosets": _cmd_cosets,
-        "construct": _cmd_construct,
+        "construct": _cmd_family,
         "analyze": _cmd_analyze,
         "verify-paper": _cmd_verify,
-        "export": _cmd_export,
+        "export": _cmd_family,
     }
     try:
         return handlers[args.command](args)

@@ -156,6 +156,11 @@ def _lanes_to_int(lanes: np.ndarray) -> int:
     return int.from_bytes(lanes.astype("<u8").tobytes(), "little")
 
 
+def _lightest(block: np.ndarray, counts: np.ndarray, low: int) -> int:
+    """The smallest bit-packed word among the rows of ``block`` of weight ``low``."""
+    return min(_lanes_to_int(word) for word in block[counts == low])
+
+
 def _scan_range(
     combos: np.ndarray,
     high_rows: np.ndarray,
@@ -201,9 +206,7 @@ def _scan_range(
         scored += rows
         wmin = int(weights.min())
         if wmin <= best_w:
-            cand = min(_lanes_to_int(word) for word in scratch[weights == wmin])
-            if wmin < best_w or cand < best_wit:
-                best_w, best_wit = wmin, cand
+            best_w, best_wit = min((best_w, best_wit), (wmin, _lightest(scratch, weights, wmin)))
     return best_w, best_wit, scored
 
 
@@ -258,11 +261,8 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
             ]
             results = [f.result() for f in futs]
 
-    best_w, best_wit, scored = results[0]
-    for w, wit, s in results[1:]:
-        if w < best_w or (w == best_w and wit < best_wit):
-            best_w, best_wit = w, wit
-        scored += s
+    best_w, best_wit = min((w, wit) for w, wit, _ in results)
+    scored = sum(s for _, _, s in results)
     if scored != (1 << k) - 1:
         raise InvariantError(f"scored {scored} messages, expected 2^{k} - 1")
     _check_witness(code, best_w, best_wit)
@@ -355,21 +355,22 @@ def _subset_blocks(rows: np.ndarray, tails: list, w: int):
 
 def _combinations_through(k: int, w: int) -> int:
     """Number of nonzero messages of information weight <= w."""
-    return sum(comb(k, j) for j in range(1, w + 1))
+    total, term = 0, 1
+    for j in range(1, w + 1):
+        term = term * (k - j + 1) // j  # C(k, j) from C(k, j - 1), exactly
+        total += term
+    return total
 
 
 def _refuse_past_limit(n: int, k: int, w: int) -> None:
     """Raise ``ValueError`` if scoring every message of information
     weight <= w takes more than ``_PROOF_COMBINATIONS`` combinations."""
-    need = 0
-    for j in range(1, w + 1):
-        need += comb(k, j)
-        if need > _PROOF_COMBINATIONS:
-            raise ValueError(
-                f"proving the distance of this [{n},{k}] code scores every message "
-                f"of information weight <= {w}, more than the limit of "
-                f"2^{_PROOF_COMBINATIONS.bit_length() - 1} combinations"
-            )
+    if _combinations_through(k, w) > _PROOF_COMBINATIONS:
+        raise ValueError(
+            f"proving the distance of this [{n},{k}] code scores every message "
+            f"of information weight <= {w}, more than the limit of "
+            f"2^{_PROOF_COMBINATIONS.bit_length() - 1} combinations"
+        )
 
 
 def _closing_inequality(n: int, k: int, best: int, w: int) -> str:
@@ -562,9 +563,8 @@ def low_weight_search(
                     counts = _popcount(block)
                     low = int(counts.min())
                     if low <= best_w:
-                        word = min(_lanes_to_int(block[i]) for i in np.flatnonzero(counts == low))
-                        if low < best_w or word < best_wit:
-                            best_w, best_wit = low, word
+                        hit = (low, _lightest(block, counts, low))
+                        best_w, best_wit = min((best_w, best_wit), hit)
 
     _check_witness(code, best_w, best_wit)
 

@@ -117,60 +117,48 @@ def run_fixture(fx: Fixture) -> FixtureReport:
     """
     t_start = time.perf_counter()
     rows: list[CheckRow] = []
+    label = ""  # the code the next rows are about; "" for the audit
+
+    def check(field: str, expected, actual, ok: Optional[bool] = None) -> None:
+        ok = actual == expected if ok is None else ok
+        rows.append(CheckRow(label, field, expected, actual, ok))
 
     primal, audit = _build_sets(fx)
     sets: dict[str, DefiningSet] = dict(primal)
-    for label, zset in primal:
-        sets[label + "-dual"] = dual_defining_set(zset)
+    for name, zset in primal:
+        sets[name + "-dual"] = dual_defining_set(zset)
 
     for name, want in fx.audit_values:
-        got = getattr(audit, name)
-        rows.append(CheckRow("", f"audit.{name}", want, got, got == want))
+        check(f"audit.{name}", want, getattr(audit, name))
 
     codes: dict[str, object] = {}
 
-    def code_for(label: str):
-        if label not in codes:
-            if label.endswith("-dual"):
-                codes[label] = code_for(label[:-5]).dual()
+    def code_for(name: str):
+        if name not in codes:
+            if name.endswith("-dual"):
+                codes[name] = code_for(name[:-5]).dual()
             else:
-                codes[label] = assemble(sets[label])
-        return codes[label]
+                codes[name] = assemble(sets[name])
+        return codes[name]
 
     for exp in fx.codes:
-        zset = sets[exp.label]
+        label = exp.label
+        zset = sets[label]
         elems = tuple(zset.elements.tolist())
-        rows.append(CheckRow(exp.label, "n", exp.n, zset.n, zset.n == exp.n))
-        k = zset.n - len(zset)
-        rows.append(CheckRow(exp.label, "dimension", exp.k, k, k == exp.k))
+        check("n", exp.n, zset.n)
+        check("dimension", exp.k, zset.n - len(zset))
         if exp.elements is not None:
-            rows.append(
-                CheckRow(exp.label, "elements", exp.elements, elems, elems == exp.elements)
-            )
+            check("elements", exp.elements, elems)
         if exp.size is not None:
-            rows.append(CheckRow(exp.label, "size", exp.size, len(zset), len(zset) == exp.size))
+            check("size", exp.size, len(zset))
         if exp.contains:
             missing = sorted(set(exp.contains) - set(elems))
-            rows.append(
-                CheckRow(
-                    exp.label,
-                    f"contains {_span(exp.contains)}",
-                    "present",
-                    "present" if not missing else f"missing {_span(tuple(missing))}",
-                    not missing,
-                )
-            )
+            check(f"contains {_span(exp.contains)}", "present",
+                  f"missing {_span(tuple(missing))}" if missing else "present")
         if exp.excludes:
             hit = sorted(set(exp.excludes) & set(elems))
-            rows.append(
-                CheckRow(
-                    exp.label,
-                    f"excludes {_span(exp.excludes)}",
-                    "absent",
-                    "absent" if not hit else f"found {_span(tuple(hit))}",
-                    not hit,
-                )
-            )
+            check(f"excludes {_span(exp.excludes)}", "absent",
+                  f"found {_span(tuple(hit))}" if hit else "absent")
         bch_checks = (
             ("bch_lower_bound >=", exp.bch_floor, operator.ge),
             ("bch_lower_bound >= (strict)", exp.bch_floor_strict, operator.ge),
@@ -180,34 +168,17 @@ def run_fixture(fx: Fixture) -> FixtureReport:
             delta, _ = bch_run(zset)
             for name, want, holds in bch_checks:
                 if want is not None:
-                    rows.append(CheckRow(exp.label, name, want, delta, holds(delta, want)))
+                    check(name, want, delta, holds(delta, want))
         if exp.distance is not None:
-            code = code_for(exp.label)
+            code = code_for(label)
             result = proven_min_distance(code)
             verify_distance_certificate(code, result)
-            rows.append(
-                CheckRow(
-                    exp.label,
-                    "distance",
-                    exp.distance,
-                    result.exact_distance,
-                    result.exact_distance == exp.distance,
-                )
-            )
+            check("distance", exp.distance, result.exact_distance)
         if exp.search_weight is not None:
             seed, iterations, depth = fx.search or (1, 10_000, 2)
-            result = low_weight_search(
-                code_for(exp.label), seed=seed, iterations=iterations, depth=depth
-            )
-            rows.append(
-                CheckRow(
-                    exp.label,
-                    f"search_weight (seed {seed}, {iterations} iters, depth {depth})",
-                    exp.search_weight,
-                    result.best_weight_found,
-                    result.best_weight_found == exp.search_weight,
-                )
-            )
+            result = low_weight_search(code_for(label), seed=seed, iterations=iterations, depth=depth)
+            check(f"search_weight (seed {seed}, {iterations} iters, depth {depth})",
+                  exp.search_weight, result.best_weight_found)
 
     return FixtureReport(fx.fixture_id, tuple(rows), time.perf_counter() - t_start)
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -95,10 +96,14 @@ class TestConstruct:
         for label, zset in zip(FAMILIES[family].labels, sets):
             which = ["--which", label] if len(sets) > 1 else []
             assert run_command(["construct", family, *argv, *which, "--json"]) == 0
-            payload = json.loads(capsys.readouterr().out)
+            printed = capsys.readouterr().out
+            payload = json.loads(printed)
             assert payload["code"] == describe(zset).as_dict()
             assert payload["audit"] == audit_as_dict(audit)
             assert list(payload["audit"])[0] == "construction"
+            # export with its default engine writes the same envelope, byte for byte
+            assert run_command(["export", family, *argv, *which]) == 0
+            assert capsys.readouterr().out == printed
 
     def test_family_table_is_the_one_list_of_families(self):
         commands = _subcommands(_build_parser())
@@ -245,6 +250,14 @@ class TestVerifyPaper:
         fields = {row["field"] for row in fx["rows"]}
         assert "dimension" in fields and "distance" in fields
 
+    def test_json_rows_are_the_check_row_fields_in_order(self, capsys):
+        assert run_command(["verify-paper", "--fixture", "weight-class-m9-*", "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        rows = [row for fx in payload["fixtures"] for row in fx["rows"]]
+        assert rows and not all(row["ok"] for row in rows)
+        for row in rows:
+            assert list(row) == ["code", "field", "expected", "actual", "ok"]
+
     def test_glob_pattern_selection(self, capsys):
         rc = run_command(["verify-paper", "--fixture", "even-m*"])
         assert rc == 0
@@ -310,6 +323,18 @@ class TestExport:
         assert target.read_bytes() == printed.encode("utf-8")
         assert printed == json.dumps(payload, indent=2) + "\n"
 
+    def test_same_distance_as_analyze_on_the_elements(self, capsys, tmp_path):
+        assert run_command(["construct", "two-prime", "--p", "3", "--elements-only"]) == 0
+        src = tmp_path / "z.txt"
+        src.write_text(capsys.readouterr().out)
+        assert run_command(["analyze", str(src), "--m", "6", "--json", "--engine", "proof"]) == 0
+        analyzed = json.loads(capsys.readouterr().out)
+        assert run_command(["export", "two-prime", "--p", "3", "--engine", "proof"]) == 0
+        exported = json.loads(capsys.readouterr().out)
+        assert analyzed["distance"] == exported["distance"]
+        assert analyzed["distance"]["exact_distance"] == 12
+        assert "audit" not in analyzed and "audit" in exported
+
     def test_unwritable_output_is_a_domain_error(self, capsys):
         rc = run_command(
             ["export", "sqrt", "--m", "5", "--output", "/nonexistent/dir/out.json"]
@@ -372,6 +397,28 @@ class TestEmitJson:
             target = Path(tmp, "out.json")
             _emit_json(payload, str(target))
             assert target.read_bytes() == want.encode("utf-8")
+
+
+def _help_options(argv: list[str], capsys) -> set[str]:
+    """The long options named in the help text of ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        run_command([*argv, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+
+class TestHelp:
+    @pytest.mark.parametrize("family", list(SMALL_FAMILY_CASES))
+    def test_construct_offers_output_forms_not_engines(self, family, capsys):
+        options = _help_options(["construct", family], capsys)
+        assert {"--json", "--hex", "--elements-only"} <= options
+        assert not options & {"--engine", "--output"}
+
+    @pytest.mark.parametrize("family", list(SMALL_FAMILY_CASES))
+    def test_export_offers_engines_and_a_file_not_output_forms(self, family, capsys):
+        options = _help_options(["export", family], capsys)
+        assert {"--engine", "--output"} <= options
+        assert not options & {"--json", "--hex", "--elements-only"}
 
 
 class TestUsageErrors:

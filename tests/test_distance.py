@@ -719,6 +719,12 @@ class TestProofEngine:
         assert "certificate" not in exact_min_distance(code).as_dict()
         assert "certificate" not in low_weight_search(code, seed=1, iterations=3).as_dict()
 
+    @pytest.mark.parametrize(
+        "k, w", [(0, 0), (1, 3), (5, 0), (5, 5), (5, 7), (32, 5), (64, 32), (4096, 120)]
+    )
+    def test_combination_count_is_the_binomial_sum(self, k, w):
+        assert distance._combinations_through(k, w) == _iterations_through(k, w)
+
     def test_refuses_a_parity_matrix_past_its_ceiling(self, monkeypatch, code_63_32):
         # [63,32]: 32 rows of one 64-bit lane, 256 bytes
         monkeypatch.setattr("bincyclic.distance._PARITY_BYTES", 255)

@@ -18,8 +18,11 @@ several sizes, the human and ``--elements-only`` forms, the six
 and ``--i``), ``analyze`` and ``export`` with each distance engine
 (the exhaustive sweep also on two-lane codes of length 127, once with
 two threads; the search also for enough iterations to span several
-reduction batches), ``verify-paper`` (fast and ``--all``, JSON and human) and
-the error cases with their exit codes.
+reduction batches; the proof engine in JSON and human form),
+``verify-paper`` (fast and ``--all``, JSON and human), the ``--help`` text
+of five parsers and the error cases with their exit codes.  A command
+that ends in ``SystemExit`` (``--help``) is recorded with the exit code it
+carried; help text is wrapped at ``COLUMNS=80`` whatever the terminal.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import re
 import sys
 import tempfile
@@ -74,6 +78,7 @@ ENGINE_RUNS = (
     ["analyze", SCRATCH + "/m4.txt", "--m", "4"],
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--hex", "--engine", "exhaustive"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--json", "--engine", "proof"],
+    ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "proof"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "search", "--seed", "3", "--iters", "40"],
     ["analyze", SCRATCH + "/m7k15.txt", "--m", "7", "--engine", "exhaustive", "--json"],
     ["analyze", SCRATCH + "/m7k22.txt", "--m", "7", "--engine", "exhaustive", "--threads", "2", "--json"],
@@ -97,6 +102,14 @@ VERIFY = (
     ["verify-paper", "--fixture", "example1"],
     ["verify-paper", "--fixture", "weight-class-m9-*", "--json"],
     ["verify-paper", "--fixture", "no-such-fixture"],
+)
+
+HELP = (
+    ["--help"],
+    ["construct", "even-m", "--help"],
+    ["analyze", "--help"],
+    ["export", "sqrt", "--help"],
+    ["verify-paper", "--help"],
 )
 
 ERRORS = (
@@ -133,6 +146,7 @@ def commands() -> list[list[str]]:
     out.extend(LARGE)
     out.extend(ENGINE_RUNS)
     out.extend(VERIFY)
+    out.extend(HELP)
     out.extend(ERRORS)
     return out
 
@@ -148,7 +162,10 @@ def _mask(text: str) -> str:
 def _run(run_command, argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_command(argv)
+        try:
+            code = run_command(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -186,6 +203,7 @@ def main() -> None:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the bincyclic package")
     args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     sys.path.insert(0, str(args.src.resolve()))
     from bincyclic.cli import run_command
 
