@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .constructions import DefiningSet
+from .cosets import negated_mask, orbit_minima
 from .gf2 import (
     FieldContext,
     InvariantError,
@@ -35,18 +36,11 @@ class DegenerateCodeError(ValueError):
 
 
 def _leaders_of(zset: DefiningSet) -> np.ndarray:
-    """Coset leaders present in a doubling-closed set, ascending.
-
-    m - 1 doubling passes visit every orbit (orbit sizes divide m); a
-    leader is an element equal to its orbit minimum.
-    """
-    n = zset.n
+    """Coset leaders present in a doubling-closed set, ascending: the
+    elements equal to their orbit minimum."""
     elements = zset.elements
-    orbit_min = elements.copy()
-    y = elements.copy()
-    for _ in range(n.bit_length() - 1):
-        y = (2 * y) % n
-        np.minimum(orbit_min, y, out=orbit_min)
+    orbit_min = elements.astype(np.uint32)
+    orbit_minima(orbit_min, zset.n.bit_length())
     if not zset.mask()[orbit_min].all():
         raise InvariantError("doubling closure violated")
     return elements[orbit_min == elements]
@@ -111,13 +105,8 @@ class CyclicCode:
 
 def dual_defining_set(zset: DefiningSet) -> DefiningSet:
     """Defining set of the dual code: -(Z_n \\ Z) mod n."""
-    n = zset.n
-    comp = ~zset.mask()
-    dual_mask = np.empty(n, dtype=bool)
-    dual_mask[0] = comp[0]
-    dual_mask[1:] = comp[:0:-1]  # index x <- n - x
     origin = {"construction": "dual", "of": dict(zset.origin)}
-    return DefiningSet.from_mask(n, dual_mask, origin)
+    return DefiningSet.from_mask(zset.n, negated_mask(~zset.mask()), origin)
 
 
 def assemble(zset: DefiningSet, *, ctx: Optional[FieldContext] = None) -> CyclicCode:

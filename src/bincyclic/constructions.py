@@ -34,7 +34,8 @@ from typing import Callable, ClassVar, Mapping, Union
 
 import numpy as np
 
-from .cosets import CosetTable, _is_prime, build_table, classify_by_size, weight_classes
+from .cosets import (CosetTable, _is_prime, build_table, classify_by_size, negated_mask,
+                     weight_classes)
 from .gf2 import InvariantError
 
 
@@ -60,6 +61,8 @@ class DefiningSet:
     def from_mask(
         cls, n: int, mask: np.ndarray, origin: Mapping[str, object] | None = None
     ) -> "DefiningSet":
+        if np.shape(mask) != (n,):
+            raise ValueError(f"mask of shape {np.shape(mask)} does not cover Z_{n}")
         elements = np.flatnonzero(mask).astype(np.int64)
         if elements.size and not mask[(elements * 2) % n].all():
             raise ValueError("set is not closed under doubling mod n")
@@ -215,9 +218,7 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
         raise InvariantError("the two pair halves must not meet")
     if not ((p1_mask | p2_mask) == resid_mask).all():
         raise InvariantError("pairs must tile the residual layer")
-    p1_elems = np.flatnonzero(p1_mask)
-    p2_elems = np.flatnonzero(p2_mask)
-    if set((n - p2_elems).tolist()) != set(p1_elems.tolist()):
+    if not np.array_equal(negated_mask(p2_mask[:n]), p1_mask[:n]):
         raise InvariantError("the second pair half must be the negation of the first")
 
     s1 = (w < t) | b_mask | t_mask | p1_mask
@@ -246,8 +247,8 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
         t_preimage=tuple(np.flatnonzero(t_mask).tolist()),
         g_preimage=tuple(np.flatnonzero(g_mask).tolist()),
         residual_pairs=tuple(pairs),
-        p1_preimage=tuple(p1_elems.tolist()),
-        p2_preimage=tuple(p2_elems.tolist()),
+        p1_preimage=tuple(np.flatnonzero(p1_mask).tolist()),
+        p2_preimage=tuple(np.flatnonzero(p2_mask).tolist()),
         s1_size=int(s1.sum()),
         s2_size=int(s2.sum()),
         swap_pairs=swap_pairs,
@@ -510,8 +511,7 @@ def build_sqrt_complement(m: int, overrides=None):
 
     t_leaders = tuple(int(v) for v in np.unique(table.leader_of[1 : block_top + 1]))
     t_mask = table.union_mask(t_leaders)
-    neg_idx = (n - np.arange(n, dtype=np.int64)) % n
-    neg_t_mask = t_mask[neg_idx]
+    neg_t_mask = negated_mask(t_mask)
     if (t_mask & neg_t_mask).any():
         raise InvariantError("block and negated block must not meet")
     neg_t_leaders = tuple(int(v) for v in np.unique(table.leader_of[np.flatnonzero(neg_t_mask)]))
@@ -615,13 +615,10 @@ def build_weight_class(m: int, i: int):
     a_leaders = tuple(int(v) for v in np.unique(table.leader_of[1 : L + 1]))
     a_mask = table.union_mask(a_leaders)
 
-    j_vals = np.arange(1, L + 1, dtype=np.int64)
-    j_parity = np.bitwise_count(j_vals.astype(np.uint64)).astype(np.int64) & 1
-    b0_targets = n - j_vals[j_parity == i]
-    b0_leaders = tuple(int(v) for v in np.unique(table.leader_of[b0_targets]))
-    b0_mask = table.union_mask(b0_leaders)
-    b_all_leaders = np.unique(table.leader_of[n - j_vals])
-    b_all_mask = table.union_mask(b_all_leaders)
+    # -C_j = C_{n-j}, and every member of C_j has the weight parity of j.
+    b0_mask = negated_mask(a_mask & wc.mask(i))
+    b0_leaders = tuple(int(v) for v in np.unique(table.leader_of[b0_mask]))
+    b_all_mask = negated_mask(a_mask)
 
     first_tu = (i == 0 and m % 4 == 3) or (i == 1 and m % 4 == 1)
     t_val = (2**half - 1) if first_tu else (2 ** (half + 1) - 1)
@@ -660,8 +657,7 @@ def build_weight_class(m: int, i: int):
     # The run/containment guarantees below hold regardless.
     if not t_total[1 : L + 1].all():
         raise InvariantError("the low block must sit inside T")
-    neg_mask = t_total[(n - np.arange(n, dtype=np.int64)) % n]
-    if neg_mask[: 2**half - 1].any():
+    if negated_mask(t_total)[: 2**half - 1].any():
         raise InvariantError("low residues must avoid -T")
 
     audit = WeightClassAudit(

@@ -1,12 +1,12 @@
 """2-cyclotomic cosets modulo n = 2^m - 1.
 
 A coset is the orbit of a residue under doubling mod n; orbits partition
-Z_n and their minima ("leaders") canonically name them.  The table is
-built fully vectorized: doubling mod 2^m - 1 is a left rotation of the
-m-bit word, so m - 1 in-place passes of shift, mask and or over a uint32
-array, each followed by a running minimum, give the dense leader array
-without a gather or a Python loop over n elements (n reaches 2^24 - 1
-here).  The passes run block by block so that each block stays in cache.
+Z_n and their minima ("leaders") canonically name them.  ``orbit_minima``
+maps residues to their leaders in m - 1 rotate-and-minimum passes over a
+uint32 array, with no gather and no Python loop over the residues (n
+reaches 2^24 - 1 here); it gives the table's dense leader array and the
+leaders of any defining set.  ``negated_mask`` is the one map x -> -x on
+membership masks; the dual set and the builders use it.
 
 Also provides the binary-vector view of residues: pi maps a residue to
 its LSB-first bit vector, rho rotates a vector one step right, and
@@ -71,17 +71,16 @@ class CosetTable:
         return np.isin(self.leader_of, chosen)
 
 
-def build_table(m: int) -> CosetTable:
-    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
-        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+def orbit_minima(words: np.ndarray, m: int) -> None:
+    """Replace each word of a uint32 array of residues mod 2^m - 1, in
+    place, with the least member of its coset."""
     n = (1 << m) - 1
-    lead = np.arange(n, dtype=np.uint32)
-    # Doubling rotates the m-bit word left; after r passes lead[x] is the
-    # least of x's first r + 1 rotations, and every orbit has at most m.
+    # Doubling rotates the m-bit word left; after r passes a word is the
+    # least of its first r + 1 rotations, and every orbit has at most m.
     # Blocks of 2^16 words (256 KiB) stay in cache through all m - 1 passes,
     # which at m = 22 is about four times faster than whole-array passes.
-    for start in range(0, n, 1 << 16):
-        best = lead[start : start + (1 << 16)]
+    for start in range(0, words.size, 1 << 16):
+        best = words[start : start + (1 << 16)]
         word = best.copy()
         top = np.empty_like(word)
         for _ in range(m - 1):
@@ -90,6 +89,19 @@ def build_table(m: int) -> CosetTable:
             np.bitwise_and(word, n, out=word)
             np.bitwise_or(word, top, out=word)
             np.minimum(best, word, out=best)
+
+
+def negated_mask(mask: np.ndarray) -> np.ndarray:
+    """Mask of -S over Z_n, given the mask of S: entry x is entry n - x."""
+    return np.concatenate((mask[:1], mask[:0:-1]))
+
+
+def build_table(m: int) -> CosetTable:
+    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
+        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+    n = (1 << m) - 1
+    lead = np.arange(n, dtype=np.uint32)
+    orbit_minima(lead, m)
     leader_of = lead.view(np.int32)
     counts = np.bincount(leader_of, minlength=n)
     leaders = np.flatnonzero(counts)
@@ -229,8 +241,8 @@ class WeightClassView:
 
 
 def weight_classes(m: int) -> WeightClassView:
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
+        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
     n = (1 << m) - 1
     residues = np.arange(n, dtype=np.uint32)
     parity = np.bitwise_count(residues).astype(np.int8) & 1

@@ -37,6 +37,10 @@ from .constructions import DefiningSet, build_family
 from .distance import low_weight_search, proven_min_distance, verify_distance_certificate
 
 
+#: (seed, iterations, depth) of the seeded search behind every ``search_weight`` row.
+SEARCH_RUN = (1, 10_000, 2)
+
+
 @dataclass(frozen=True)
 class ExpectedCode:
     """Recorded reference values for one code of a fixture."""
@@ -65,7 +69,6 @@ class Fixture:
     params: tuple[tuple[str, object], ...]
     codes: tuple[ExpectedCode, ...]
     audit_values: tuple[tuple[str, object], ...] = ()
-    search: Optional[tuple[int, int, int]] = None  # (seed, iterations, depth)
     slow: bool = False
     note: str = ""
 
@@ -175,7 +178,7 @@ def run_fixture(fx: Fixture) -> FixtureReport:
             verify_distance_certificate(code, result)
             check("distance", exp.distance, result.exact_distance)
         if exp.search_weight is not None:
-            seed, iterations, depth = fx.search or (1, 10_000, 2)
+            seed, iterations, depth = SEARCH_RUN
             result = low_weight_search(code_for(label), seed=seed, iterations=iterations, depth=depth)
             check(f"search_weight (seed {seed}, {iterations} iters, depth {depth})",
                   exp.search_weight, result.best_weight_found)
@@ -430,7 +433,6 @@ FIXTURES: tuple[Fixture, ...] = (
             ("residual_pairs", ((19, 27), (21, 43))),
             ("selected_leaders", (27, 21)),
         ),
-        search=(1, 10_000, 2),
         slow=True,
         note="Search confirmation: weights 19/20 found, nothing smaller; not an exactness proof.",
     ),

@@ -332,7 +332,7 @@ def minimal_polynomials(ctx: FieldContext, leaders) -> list[BinaryPolynomial]:
         if outside.any():
             r = int(np.flatnonzero(outside)[0])
             c = int(coeffs[r][coeffs[r] > 1][0])
-            raise RuntimeError(
+            raise InvariantError(
                 f"minimal polynomial of beta^{int(e[rows[r]])} has a coefficient {c} outside "
                 "GF(2); field tables are inconsistent"
             )

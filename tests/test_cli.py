@@ -16,7 +16,7 @@ from bincyclic.cli import _build_parser, _emit_json, run_command
 from bincyclic.codecore import assemble, describe
 from bincyclic.constructions import FAMILIES, DefiningSet, audit_as_dict, build_even_m
 from bincyclic.fixtures import EXAMPLE1_Z2, FIXTURES, SQRT_M5_Z
-from bincyclic.gf2 import poly_to_hex
+from bincyclic.gf2 import FieldContext, make_field, poly_to_hex
 
 # One small instance per family: its CLI arguments and the builder keywords
 # they must turn into.
@@ -174,6 +174,19 @@ class TestAnalyze:
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
         assert run_command(["analyze", "--m", "4"]) == 1
         assert "doubling" in capsys.readouterr().err
+
+    def test_inconsistent_field_tables_exit_1(self, capsys, monkeypatch):
+        # an antilog table that does not follow the log table puts a
+        # coefficient outside GF(2) into a minimal polynomial
+        ctx = make_field(4)
+        antilog = ctx.antilog_table.copy()
+        antilog[[1, 2]] = antilog[[2, 1]]
+        broken = FieldContext(m=4, modulus=ctx.modulus, log_table=ctx.log_table,
+                              antilog_table=antilog)
+        monkeypatch.setattr("bincyclic.codecore.make_field", lambda m: broken)
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 4 8 3 6 9 12\n"))
+        assert run_command(["analyze", "--m", "4"]) == 1
+        assert "outside GF(2)" in capsys.readouterr().err
 
     def test_missing_file_is_a_domain_error(self, capsys):
         assert run_command(["analyze", "/nonexistent/z.txt", "--m", "4"]) == 1

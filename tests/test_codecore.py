@@ -249,7 +249,7 @@ class TestInvariants:
 
 
 class TestLeaders:
-    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 16])
     def test_leaders_are_orbit_minima(self, m):
         for z in _random_proper_sets(m, 5, seed=40 + m):
             n = z.n

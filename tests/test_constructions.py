@@ -50,6 +50,12 @@ class TestDefiningSet:
         with pytest.raises(ValueError):
             DefiningSet.from_elements(63, (63,))
 
+    @pytest.mark.parametrize("length", [5, 9])
+    def test_from_mask_needs_one_entry_per_residue(self, length):
+        with pytest.raises(ValueError, match="Z_7"):
+            DefiningSet.from_mask(7, np.ones(length, dtype=bool))
+        assert len(DefiningSet.from_mask(7, np.ones(7, dtype=bool))) == 7
+
     def test_elements_read_only(self):
         z = DefiningSet.from_elements(15, (5, 10))
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ from bincyclic.cosets import (
     classify_by_size,
     coset_of,
     is_union_of_cosets,
+    negated_mask,
+    orbit_minima,
     pi,
     pi_inv,
     rho,
@@ -179,6 +181,32 @@ class TestNegatedCosets:
         assert int(table.leader_of[15 - 5]) == int(table.leader_of[5])
 
 
+class TestOrbitMinima:
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_matches_coset_of_minima(self, m):
+        # a few hundred residues, repeated and shuffled over more than one
+        # 2^16-word block with a ragged tail
+        n = (1 << m) - 1
+        rng = np.random.default_rng(m)
+        values = np.unique(np.concatenate(([0, 1, n - 1], rng.integers(0, n, 300))))
+        words = rng.choice(values, 70_001).astype(np.uint32)
+        want = {int(x): min(coset_of(int(x), n)) for x in values}
+        before = words.copy()
+        orbit_minima(words, m)
+        assert words.tolist() == [want[x] for x in before.tolist()]
+
+
+class TestNegatedMask:
+    @pytest.mark.parametrize("m", range(2, 23))
+    def test_matches_gather(self, m):
+        n = (1 << m) - 1
+        mask = np.random.default_rng(m).integers(0, 2, n, dtype=bool)
+        negated = negated_mask(mask)
+        assert negated.dtype == bool
+        assert np.array_equal(negated, mask[(n - np.arange(n)) % n])
+        assert np.array_equal(negated_mask(negated), mask)
+
+
 class TestClassification:
     def test_two_prime_shape(self):
         sizes = classify_by_size(build_table(6), 2, 3)
@@ -273,6 +301,11 @@ class TestWeightClasses:
         assert not s0[0] and not s1[0]
         assert np.array_equal(s0 | s1, np.arange(n) != 0)
         assert not np.any(s0 & s1)
+
+    @pytest.mark.parametrize("m", [1, 25])
+    def test_degree_outside_the_field_range(self, m):
+        with pytest.raises(ValueError, match="2 <= m <= 24"):
+            weight_classes(m)
 
     def test_parity_semantics(self):
         view = weight_classes(6)

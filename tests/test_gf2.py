@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bincyclic import gf2
 from bincyclic.gf2 import (
     FieldContext,
+    InvariantError,
     make_field,
     minimal_polynomial,
     minimal_polynomials,
@@ -258,7 +259,7 @@ class TestMinimalPolynomial:
         broken = FieldContext(
             m=4, modulus=ctx.modulus, log_table=ctx.log_table, antilog_table=antilog
         )
-        with pytest.raises(RuntimeError, match="outside GF\\(2\\)"):
+        with pytest.raises(InvariantError, match="outside GF\\(2\\)"):
             minimal_polynomials(broken, [1, 3])
 
 
