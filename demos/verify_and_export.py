@@ -35,7 +35,7 @@ def main():
     z, audit = build_sqrt_complement(5)
     payload = {
         "schema": 1,
-        "code": describe(z, generator=assemble(z).generator).as_dict(),
+        "code": describe(z, generator=assemble(z).generator),
         "audit": audit_as_dict(audit),
     }
     print("\nexport payload for the m=5 block construction:")

@@ -152,15 +152,14 @@ def _poly_str(poly: Optional[int], use_hex: bool) -> str:
     return poly_to_hex(poly) if use_hex else poly_to_bitstring(poly)
 
 
-def _print_report(report, use_hex: bool) -> None:
-    d = report.as_dict()
+def _print_report(d: dict, generator: Optional[int], use_hex: bool) -> None:
     print(f"n                : {d['n']}  (m = {d['m']})")
     if d["construction"]:
         pairs = ", ".join(f"{k}={v}" for k, v in d["construction"].items())
         print(f"construction     : {pairs}")
     print(f"defining set     : {len(d['defining_set'])} residues")
     print(f"dimension        : {d['dimension']}")
-    print(f"generator        : {_poly_str(report.generator, use_hex)}")
+    print(f"generator        : {_poly_str(generator, use_hex)}")
     print(f"bch lower bound  : {d['bch_lower_bound']}  (run starts at {d['bch_interval_start']})")
     dual = d["dual"]
     print(f"dual dimension   : {dual['dimension']}")
@@ -282,14 +281,15 @@ def _report(zset: DefiningSet, audit, args) -> int:
     """Describe ``zset``, measure its distance unless the engine is
     ``none``, and write the JSON envelope or the human summary."""
     code = None if args.engine == "none" else assemble(zset)
-    report = describe(zset, generator=None if code is None else code.generator)
+    generator = None if code is None else code.generator
+    report = describe(zset, generator=generator)
     result = None if code is None else _run_distance(code, args)
     if not args.json:
-        _print_report(report, args.hex)
+        _print_report(report, generator, args.hex)
         if result is not None:
             _print_distance(result)
         return EXIT_OK
-    payload = {"schema": 1, "code": report.as_dict()}
+    payload = {"schema": 1, "code": report}
     if result is not None:
         payload["distance"] = result.as_dict()
     if audit is not None:

@@ -28,6 +28,7 @@ from .gf2 import (
     poly_degree,
     poly_divrem,
     poly_mul,
+    poly_to_bitstring,
 )
 
 
@@ -183,49 +184,10 @@ def bch_lower_bound(zset: DefiningSet) -> int:
     return delta
 
 
-@dataclass(frozen=True)
-class CodeReport:
-    """JSON-ready summary of one code and its dual's run bound."""
-
-    n: int
-    m: int
-    construction: dict
-    defining_set: tuple[int, ...]
-    dimension: int
-    generator: Optional[int]
-    bch_lower_bound: int
-    bch_interval_start: Optional[int]
-    dual_size: int
-    dual_bch_lower_bound: int
-    dual_bch_interval_start: Optional[int]
-
-    def as_dict(self) -> dict:
-        from .gf2 import poly_to_bitstring
-
-        return {
-            "n": self.n,
-            "m": self.m,
-            "construction": self.construction,
-            "defining_set": list(self.defining_set),
-            "dimension": self.dimension,
-            "generator_bits": (
-                None if self.generator is None else poly_to_bitstring(self.generator)
-            ),
-            "bch_lower_bound": self.bch_lower_bound,
-            "bch_interval_start": self.bch_interval_start,
-            "dual": {
-                "size": self.dual_size,
-                "dimension": self.n - self.dual_size,
-                "bch_lower_bound": self.dual_bch_lower_bound,
-                "bch_interval_start": self.dual_bch_interval_start,
-            },
-        }
-
-
-def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> CodeReport:
-    """Assemble the distance-free facts about a defining set."""
+def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
+    """The distance-free facts about a defining set and its dual's run
+    bound, as the ``code`` object of the JSON envelope."""
     n = zset.n
-    m = (n + 1).bit_length() - 1
     delta, start = bch_run(zset)
     dual_set = dual_defining_set(zset)
     if len(dual_set) == n:
@@ -234,16 +196,19 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> CodeRepor
         dual_delta, dual_start = n + 1, 0
     else:
         dual_delta, dual_start = bch_run(dual_set)
-    return CodeReport(
-        n=n,
-        m=m,
-        construction=dict(zset.origin),
-        defining_set=tuple(zset.elements.tolist()),
-        dimension=n - len(zset),
-        generator=generator,
-        bch_lower_bound=delta,
-        bch_interval_start=start,
-        dual_size=len(dual_set),
-        dual_bch_lower_bound=dual_delta,
-        dual_bch_interval_start=dual_start,
-    )
+    return {
+        "n": n,
+        "m": (n + 1).bit_length() - 1,
+        "construction": dict(zset.origin),
+        "defining_set": zset.elements.tolist(),
+        "dimension": n - len(zset),
+        "generator_bits": None if generator is None else poly_to_bitstring(generator),
+        "bch_lower_bound": delta,
+        "bch_interval_start": start,
+        "dual": {
+            "size": len(dual_set),
+            "dimension": n - len(dual_set),
+            "bch_lower_bound": dual_delta,
+            "bch_interval_start": dual_start,
+        },
+    }

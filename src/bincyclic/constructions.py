@@ -73,11 +73,12 @@ class DefiningSet:
     def from_elements(
         cls, n: int, elements, origin: Mapping[str, object] | None = None
     ) -> "DefiningSet":
-        arr = np.unique(np.asarray(sorted(int(x) for x in elements), dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= n):
+        values = [int(x) for x in elements]
+        # checked as Python ints: a value past int64 must not reach numpy
+        if values and not 0 <= min(values) <= max(values) < n:
             raise ValueError(f"elements outside Z_{n}")
         mask = np.zeros(n, dtype=bool)
-        mask[arr] = True
+        mask[np.asarray(values, dtype=np.int64)] = True
         return cls.from_mask(n, mask, origin)
 
     # -- views -------------------------------------------------------------
@@ -109,14 +110,6 @@ class DefiningSet:
 
     def as_set(self) -> set[int]:
         return set(self.elements.tolist())
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "size": len(self),
-            "origin": dict(self.origin),
-            "elements": self.elements.tolist(),
-        }
 
 
 def _check_size(z: DefiningSet, size: int) -> None:
@@ -371,7 +364,7 @@ def build_two_prime(p: int):
     m = 2 * p
     n = (1 << m) - 1
     table = build_table(m)
-    cls = classify_by_size(table, 2, p)
+    by_size = classify_by_size(table, 2, p)
 
     m_main = _exact_div(2**m - 4, 2 * p, "run length, main term")
     m_extra = _exact_div(2**p - 2 * p - 2, 4 * p, "run length, correction term")
@@ -380,8 +373,8 @@ def build_two_prime(p: int):
     # Full cosets have size 2p, secondary ones size p; {0} always joins.
     mask, chosen_small, trace = _greedy_select(
         table,
-        full_leaders=cls.size_full_leaders,
-        secondary_leaders=cls.size_p2_leaders,
+        full_leaders=by_size[m],
+        secondary_leaders=by_size[p],
         base_leaders=(0,),
         d0_max=d0_max,
         sigma_lo=_exact_div(2**m - 2 ** (p + 1), 4 * p, "selection floor"),
@@ -431,7 +424,7 @@ def build_odd_pq(p1: int, p2: int):
         raise ValueError(f"p1*p2 = {m} exceeds the table cap 24")
     n = (1 << m) - 1
     table = build_table(m)
-    cls = classify_by_size(table, p1, p2)
+    by_size = classify_by_size(table, p1, p2)
 
     d0_max = (
         (2**m - 1) // m
@@ -442,15 +435,15 @@ def build_odd_pq(p1: int, p2: int):
         - 1
     )
     base_small_count = _exact_div(2**p1 - 2, 2 * p1, "half the smallest size class")
-    base_small = cls.size_p1_leaders[:base_small_count]
+    base_small = by_size[p1][:base_small_count]
     mid_total = _exact_div(2**m - 2**p1, 2 * p2, "mid-size allotment")
     e = m.bit_length()  # floor(log2(m)) + 1 (m is never a power of two here)
     # Full cosets have size m, secondary ones size p2; half of the size-p1
     # cosets always join.
     mask, chosen_mid, trace = _greedy_select(
         table,
-        full_leaders=cls.size_full_leaders,
-        secondary_leaders=cls.size_p2_leaders,
+        full_leaders=by_size[m],
+        secondary_leaders=by_size[p2],
         base_leaders=base_small,
         d0_max=d0_max,
         sigma_lo=_exact_div(2**m - 2**p1 - 2 ** (p2 + 1) + 4, 2 * m, "selection floor"),
@@ -525,6 +518,9 @@ def build_sqrt_complement(m: int, overrides=None):
         overrides_used = None
     else:
         overrides_used = tuple(sorted(int(x) for x in overrides))
+        repeated = sorted({a for a, b in zip(overrides_used, overrides_used[1:]) if a == b})
+        if repeated:
+            raise SelectionError(f"overrides {repeated} are named more than once")
         chosen = set(overrides_used)
         pair_union = {x for pr in pairs for x in pr}
         if not chosen <= pair_union:
@@ -610,13 +606,13 @@ def build_weight_class(m: int, i: int):
     half = (m - 1) // 2
     L = 4 * (2**half - 4)
     table = build_table(m)
-    wc = weight_classes(m)
+    parity_masks = weight_classes(m)
 
     a_leaders = tuple(int(v) for v in np.unique(table.leader_of[1 : L + 1]))
     a_mask = table.union_mask(a_leaders)
 
     # -C_j = C_{n-j}, and every member of C_j has the weight parity of j.
-    b0_mask = negated_mask(a_mask & wc.mask(i))
+    b0_mask = negated_mask(a_mask & parity_masks[i])
     b0_leaders = tuple(int(v) for v in np.unique(table.leader_of[b0_mask]))
     b_all_mask = negated_mask(a_mask)
 
@@ -647,7 +643,7 @@ def build_weight_class(m: int, i: int):
         raise InvariantError("B0 ∩ A must be C_t ∪ C_u")
 
     sv_mask = table.union_mask(sorted({lead(s_val), lead(v_val)}))
-    b1_mask = wc.mask(1 ^ i) & ~((b0_mask & ~tu_mask) | sv_mask)
+    b1_mask = parity_masks[1 ^ i] & ~((b0_mask & ~tu_mask) | sv_mask)
     t_total = a_mask | b1_mask
 
     z = DefiningSet.from_mask(n, t_total, {"construction": "weight-class", "m": m, "i": i})

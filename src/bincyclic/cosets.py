@@ -148,28 +148,11 @@ def _is_prime(v: int) -> bool:
     return v >= 2 and _prime_factors(v) == [v]
 
 
-@dataclass(frozen=True)
-class SizeClassification:
-    """Coset leaders of a composite-degree table split by orbit size.
-
-    For m = p1*p2 the only possible sizes are 1, p1, p2 and m (plus the
-    size-2 coset {n/3, 2n/3} when p1 = 2).  The exceptional size-1 coset
-    {0} and the p1 = 2 size-2 coset are carried separately because the
-    selection lists used downstream exclude them.
-    """
-
-    p1: int
-    p2: int
-    size_p1_leaders: tuple[int, ...]
-    size_p2_leaders: tuple[int, ...]
-    size_full_leaders: tuple[int, ...]
-    zero_leader: int = 0
-    size_two_leader: int | None = None
-
-
-def classify_by_size(table: CosetTable, p1: int, p2: int) -> SizeClassification:
+def classify_by_size(table: CosetTable, p1: int, p2: int) -> dict[int, tuple[int, ...]]:
     """Split the table's leaders by coset size for m = p1*p2 (p1 < p2 prime).
 
+    Returns ``{size: ascending leaders}``.  The only sizes are 1 (the coset
+    {0}), p1, p2 and m; for p1 = 2 the one size-2 coset is {n/3, 2n/3}.
     The class censuses are checked against their closed forms: a wrong
     count would mean the table (or the theory) is broken, so it raises
     :class:`InvariantError`.
@@ -189,11 +172,9 @@ def classify_by_size(table: CosetTable, p1: int, p2: int) -> SizeClassification:
         if by_size.get(2) != (n // 3,) or coset_of(n // 3, n) != {n // 3, 2 * n // 3}:
             raise InvariantError(f"the only coset of size 2 must be {{{n // 3}, {2 * n // 3}}}")
         census = {p2: (2**p2 - 2) // p2, m: (2**m - 2**p2 - 2) // m}
-        two_leader: int | None = n // 3
     else:
         census = {p1: (2**p1 - 2) // p1, p2: (2**p2 - 2) // p2,
                   m: (2**m - 2**p1 - 2**p2 + 2) // m}
-        two_leader = None
     for size, count in census.items():
         found = len(by_size.get(size, ()))
         if found != count:
@@ -202,45 +183,15 @@ def classify_by_size(table: CosetTable, p1: int, p2: int) -> SizeClassification:
     if unexpected:
         raise InvariantError(f"unexpected coset sizes {unexpected}")
 
-    return SizeClassification(
-        p1=p1,
-        p2=p2,
-        size_p1_leaders=by_size.get(p1, ()) if p1 != 2 else (),
-        size_p2_leaders=by_size.get(p2, ()),
-        size_full_leaders=by_size.get(m, ()),
-        size_two_leader=two_leader,
-    )
+    return by_size
 
 
-@dataclass(frozen=True, eq=False)
-class WeightClassView:
-    """Nonzero residues split by Hamming-weight parity.
-
-    mask(i)[x] is True iff 1 <= x <= n-1 and wt(x) = i (mod 2); the two
-    classes are disjoint, cover Z_n minus {0}, and each is doubling-closed
-    (doubling rotates the bit vector, preserving weight).
+def weight_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of the nonzero residues of even and of odd Hamming
+    weight: entry x of mask i is True iff 1 <= x <= n-1 and wt(x) = i
+    (mod 2).  The two are disjoint, cover Z_n minus {0}, and each is
+    doubling-closed (doubling rotates the bit vector, preserving weight).
     """
-
-    m: int
-    n: int
-    _masks: tuple[np.ndarray, np.ndarray] = field(repr=False)
-
-    def mask(self, i: int) -> np.ndarray:
-        if i not in (0, 1):
-            raise ValueError("parity index must be 0 or 1")
-        return self._masks[i]
-
-    def members(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.mask(i))
-
-    def size(self, i: int) -> int:
-        return int(self.mask(i).sum())
-
-    def contains(self, i: int, x: int) -> bool:
-        return bool(self.mask(i)[x])
-
-
-def weight_classes(m: int) -> WeightClassView:
     if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
         raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
     n = (1 << m) - 1
@@ -250,4 +201,4 @@ def weight_classes(m: int) -> WeightClassView:
     mask1 = parity == 1
     for arr in (mask0, mask1):
         arr.setflags(write=False)
-    return WeightClassView(m=m, n=n, _masks=(mask0, mask1))
+    return mask0, mask1

@@ -33,7 +33,7 @@ on dimension.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -73,12 +73,6 @@ class DistanceCertificate:
     enumerated_weight: int
     inequality: str
 
-    def as_dict(self) -> dict:
-        return {
-            "enumerated_weight": self.enumerated_weight,
-            "inequality": self.inequality,
-        }
-
 
 @dataclass(frozen=True)
 class DistanceResult:
@@ -113,7 +107,7 @@ class DistanceResult:
             "seed": self.seed,
         }
         if self.certificate is not None:
-            out["certificate"] = self.certificate.as_dict()
+            out["certificate"] = asdict(self.certificate)
         return out
 
 

@@ -1,10 +1,14 @@
-"""End-to-end command-line behavior via run_command."""
+"""End-to-end command-line behavior via run_command (and, where a traceback
+must not show, through ``python -m bincyclic.cli``)."""
 
 import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bincyclic
 from bincyclic.cli import _build_parser, _emit_json, run_command
 from bincyclic.codecore import assemble, describe
 from bincyclic.constructions import FAMILIES, DefiningSet, audit_as_dict, build_even_m
@@ -86,7 +91,7 @@ class TestConstruct:
         run_command(["construct", "even-m", "--m", "6", "--which", "C1", "--json"])
         payload = json.loads(capsys.readouterr().out)
         z1, _, audit = build_even_m(6)
-        assert payload["code"] == describe(z1).as_dict()
+        assert payload["code"] == describe(z1)
         assert payload["audit"] == audit_as_dict(audit)
 
     @pytest.mark.parametrize("family", list(SMALL_FAMILY_CASES))
@@ -98,7 +103,7 @@ class TestConstruct:
             assert run_command(["construct", family, *argv, *which, "--json"]) == 0
             printed = capsys.readouterr().out
             payload = json.loads(printed)
-            assert payload["code"] == describe(zset).as_dict()
+            assert payload["code"] == describe(zset)
             assert payload["audit"] == audit_as_dict(audit)
             assert list(payload["audit"])[0] == "construction"
             # export with its default engine writes the same envelope, byte for byte
@@ -131,6 +136,12 @@ class TestConstruct:
         rc = run_command(["construct", "sqrt", "--m", "7", "--choose", "19,27"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_choice_is_a_domain_error(self, capsys):
+        assert run_command(["construct", "sqrt", "--m", "7", "--choose", "21,21,27"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: overrides [21] are named more than once\n"
+        assert captured.out == ""
 
     def test_weight_class_mismatched_parity(self, capsys):
         assert run_command(["construct", "weight-class", "--m", "8", "--i", "0"]) == 1
@@ -187,6 +198,17 @@ class TestAnalyze:
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 4 8 3 6 9 12\n"))
         assert run_command(["analyze", "--m", "4"]) == 1
         assert "outside GF(2)" in capsys.readouterr().err
+
+    def test_residue_past_int64_is_a_domain_error(self):
+        src = Path(bincyclic.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bincyclic.cli", "analyze", "--m", "4", "--engine", "proof"],
+            input="1 2 4 8 99999999999999999999999\n", capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert proc.stderr == "error: elements outside Z_15\n"
 
     def test_missing_file_is_a_domain_error(self, capsys):
         assert run_command(["analyze", "/nonexistent/z.txt", "--m", "4"]) == 1

@@ -417,38 +417,49 @@ class TestBchRunFromGaps:
 class TestDescribe:
     def test_plain_report(self):
         report = describe(_set(15, EXAMPLE1_Z1))
-        assert report.n == 15 and report.m == 4
-        assert report.dimension == 9
-        assert report.bch_lower_bound == 3
-        assert report.dual_size == 9
-        assert report.generator is None
+        assert report["n"] == 15 and report["m"] == 4
+        assert report["dimension"] == 9
+        assert report["bch_lower_bound"] == 3
+        assert report["dual"]["size"] == 9
+        assert report["generator_bits"] is None
 
     def test_report_with_generator(self):
         z = _set(7, (1, 2, 4))
-        report = describe(z, generator=assemble(z).generator)
-        d = report.as_dict()
+        d = describe(z, generator=assemble(z).generator)
         assert d["generator_bits"] == "1101"
         assert d["dual"]["dimension"] == 3
 
     def test_empty_set_report(self):
         report = describe(_set(15, ()))
-        assert report.dimension == 15
-        assert report.bch_lower_bound == 1
-        assert report.bch_interval_start is None
+        assert report["dimension"] == 15
+        assert report["bch_lower_bound"] == 1
+        assert report["bch_interval_start"] is None
         # the dual is the zero code; its vacuous run covers the circle
-        assert report.dual_size == 15
-        assert report.dual_bch_lower_bound == 16
-        assert report.dual_bch_interval_start == 0
+        assert report["dual"]["size"] == 15
+        assert report["dual"]["bch_lower_bound"] == 16
+        assert report["dual"]["bch_interval_start"] == 0
 
     def test_as_dict_round_trips_through_json(self):
         z, _, _ = build_even_m(6)
         report = describe(z, generator=assemble(z).generator)
-        blob = json.dumps(report.as_dict())
+        blob = json.dumps(report)
         back = json.loads(blob)
+        assert back == report
         assert back["defining_set"] == sorted(z.as_set())
         assert back["dual"]["size"] == len(dual_defining_set(z))
 
     def test_describe_matches_assembled_code(self):
         for z in _random_proper_sets(5, 6, seed=31):
             report = describe(z)
-            assert report.dimension == assemble(z).dimension
+            assert report["dimension"] == assemble(z).dimension
+
+    def test_keys_in_envelope_order(self):
+        # dict equality ignores order; the JSON envelope does not
+        report = describe(_set(15, EXAMPLE1_Z1))
+        assert list(report) == [
+            "n", "m", "construction", "defining_set", "dimension", "generator_bits",
+            "bch_lower_bound", "bch_interval_start", "dual",
+        ]
+        assert list(report["dual"]) == [
+            "size", "dimension", "bch_lower_bound", "bch_interval_start",
+        ]

@@ -50,6 +50,11 @@ class TestDefiningSet:
         with pytest.raises(ValueError):
             DefiningSet.from_elements(63, (63,))
 
+    @pytest.mark.parametrize("outside", [2**70, -(2**70)])
+    def test_rejects_values_past_int64(self, outside):
+        with pytest.raises(ValueError, match="elements outside Z_15"):
+            DefiningSet.from_elements(15, (1, 2, 4, 8, outside))
+
     @pytest.mark.parametrize("length", [5, 9])
     def test_from_mask_needs_one_entry_per_residue(self, length):
         with pytest.raises(ValueError, match="Z_7"):
@@ -61,10 +66,10 @@ class TestDefiningSet:
         with pytest.raises(ValueError):
             z.elements[0] = 3
 
-    def test_as_dict_and_repr(self):
+    def test_fields_and_repr(self):
         z = DefiningSet.from_elements(15, (5, 10), origin={"construction": "adhoc"})
-        d = z.as_dict()
-        assert d["n"] == 15 and d["size"] == 2 and d["elements"] == [5, 10]
+        assert z.n == 15 and len(z) == 2 and list(z) == [5, 10]
+        assert z.origin == {"construction": "adhoc"}
         assert "DefiningSet" in repr(z)
 
 
@@ -221,6 +226,10 @@ class TestSqrtComplement:
     def test_override_cannot_take_both_sides(self):
         with pytest.raises(SelectionError, match="exactly one"):
             build_sqrt_complement(7, overrides=(19, 27, 21))
+
+    def test_override_cannot_repeat_a_leader(self):
+        with pytest.raises(SelectionError, match=r"\[21\] are named more than once"):
+            build_sqrt_complement(7, overrides=(21, 21, 27))
 
     def test_override_must_name_pair_members(self):
         with pytest.raises(SelectionError, match="not residual"):

@@ -210,16 +210,19 @@ class TestNegatedMask:
 class TestClassification:
     def test_two_prime_shape(self):
         sizes = classify_by_size(build_table(6), 2, 3)
-        assert sizes.size_two_leader == 21
-        assert sizes.size_p2_leaders == (9, 27)
-        assert sizes.size_full_leaders == (1, 3, 5, 7, 11, 13, 15, 23, 31)
-        assert sizes.zero_leader == 0
+        assert sizes[2] == (21,)
+        assert sizes[3] == (9, 27)
+        assert sizes[6] == (1, 3, 5, 7, 11, 13, 15, 23, 31)
+        assert sizes[1] == (0,)
+
+    def test_two_prime_sizes_are_the_keys(self):
+        assert set(classify_by_size(build_table(6), 2, 3)) == {1, 2, 3, 6}
 
     def test_odd_pq_shape(self):
         sizes = classify_by_size(build_table(15), 3, 5)
-        assert sizes.size_p1_leaders == (4681, 14043)
-        assert sizes.size_p2_leaders == (1057, 3171, 5285, 7399, 11627, 15855)
-        assert len(sizes.size_full_leaders) == 2182
+        assert sizes[3] == (4681, 14043)
+        assert sizes[5] == (1057, 3171, 5285, 7399, 11627, 15855)
+        assert len(sizes[15]) == 2182
 
 
 CORRUPTED_TABLE_SCRIPT = """
@@ -288,9 +291,8 @@ def test_invariant_error_is_one_class():
 class TestWeightClasses:
     @pytest.mark.parametrize("m", [4, 5, 6, 9])
     def test_partition_and_sizes(self, m):
-        view = weight_classes(m)
         n = (1 << m) - 1
-        s0, s1 = view.mask(0), view.mask(1)
+        s0, s1 = weight_classes(m)
         # Z_n misses the all-ones word, whose weight parity is that of m
         if m % 2 == 0:
             assert s0.sum() == 2 ** (m - 1) - 2
@@ -308,16 +310,21 @@ class TestWeightClasses:
             weight_classes(m)
 
     def test_parity_semantics(self):
-        view = weight_classes(6)
-        assert view.contains(0, 3)  # weight 2
-        assert view.contains(1, 7)  # weight 3
-        assert not view.contains(0, 7)
+        masks = weight_classes(6)
+        assert masks[0][3]  # weight 2
+        assert masks[1][7]  # weight 3
+        assert not masks[0][7]
 
     def test_classes_are_unions_of_cosets(self):
-        view = weight_classes(7)
+        masks = weight_classes(7)
         n = 127
         for i in (0, 1):
-            assert is_union_of_cosets(view.members(i), n)
+            assert is_union_of_cosets(np.flatnonzero(masks[i]), n)
+
+    def test_masks_are_read_only(self):
+        for mask in weight_classes(5):
+            with pytest.raises(ValueError):
+                mask[1] = not mask[1]
 
 
 class TestIsUnionOfCosets:

@@ -23,7 +23,9 @@ reduction batches; the proof engine in JSON and human form, and on an
 ``verify-paper`` (fast and ``--all``, JSON and human), the ``--help`` text
 of five parsers and the error cases with their exit codes.  A command
 that ends in ``SystemExit`` (``--help``) is recorded with the exit code it
-carried; help text is wrapped at ``COLUMNS=80`` whatever the terminal.
+carried, and one that raises any other exception as ``raised`` and the
+exception's type, so the rest are still recorded; help text is wrapped at
+``COLUMNS=80`` whatever the terminal.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ ERRORS = (
     ["export", "two-prime", "--p", "3", "--engine", "exhaustive", "--budget", "10"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "proof"],
     ["export", "odd-pq", "--p1", "3", "--p2", "5", "--output", SCRATCH + "/no-such-dir/x.json"],
+    ["analyze", SCRATCH + "/huge.txt", "--m", "4", "--engine", "proof"],
+    ["construct", "sqrt", "--m", "7", "--choose", "21,21,27"],
 )
 
 
@@ -163,27 +167,30 @@ def _mask(text: str) -> str:
     return _SECONDS_HUMAN.sub("(*s)", _SECONDS_JSON.sub('"seconds": "*"', text))
 
 
-def _run(run_command, argv: list[str]) -> tuple[int, str, str]:
+def _run(run_command, argv: list[str]) -> tuple[int | str, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run_command(argv)
         except SystemExit as exc:  # argparse's --help
             code = exc.code
+        except Exception as exc:  # an escaped error is an outcome; record it and go on
+            code = f"raised {type(exc).__name__}"
     return code, out.getvalue(), err.getvalue()
 
 
 def record(outdir: Path, run_command) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        # analyze reads residues from files: the [15,7] code, two-prime p = 3's [63,32]
-        # two codes of length 127 and one of length 8191
+        # analyze reads residues from files: the [15,7] code, two-prime p = 3's [63,32],
+        # two codes of length 127, one of length 8191 and one residue past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
         Path(scratch, "p3.txt").write_text(p3_residues, encoding="utf-8")
         Path(scratch, "m7k15.txt").write_text(_residues_outside(7, (0, 1, 5)), encoding="utf-8")
         Path(scratch, "m7k22.txt").write_text(_residues_outside(7, (0, 1, 5, 9)), encoding="utf-8")
         Path(scratch, "m13k14.txt").write_text(_residues_outside(13, (0, 1)), encoding="utf-8")
+        Path(scratch, "huge.txt").write_text("1 2 4 8 99999999999999999999999", encoding="utf-8")
         cmds = commands()
         for i, template in enumerate(cmds):
             argv = [a.replace(SCRATCH, scratch) for a in template]
