@@ -182,61 +182,88 @@ def _print_distance(result) -> None:
         print(f"certificate      : {d['certificate']['inequality']}")
 
 
-def _json_parts(value, pad: str, out: list[str]) -> None:
-    """Append to ``out``, in pieces, the text that ``json.dumps`` writes
-    for ``value`` with a 2-space indent, nested at indent ``pad``.
+#: Most items of one list that ``_json_parts`` encodes in one piece.
+_CHUNK = 2**16
+#: The flat text of a list of ints, and of a list of non-empty int lists.
+#: The rows' repeat is possessive: a backtracking one keeps a stack entry
+#: per row, 8 MB for a chunk of 2^16 pairs, and no row can be given back.
+_INT_LIST = re.compile(r"\[[0-9, -]*\]")
+_INT_ROWS = re.compile(r"\[\[[0-9, -]+\](?:, \[[0-9, -]+\])*+\]")
+
+
+def _json_parts(value, pad: str, write) -> None:
+    """Write, in pieces and as it is encoded, the text that ``json.dumps``
+    gives for ``value`` with a 2-space indent, nested at indent ``pad``.
 
     An indent makes CPython fall back to its pure-Python encoder, which
-    takes seconds on a defining set of 2M residues.  A list or tuple that
-    starts with an int, or with a list that starts with an int, is
-    rendered flat by the C encoder first.  A body of digits, commas,
-    spaces and minus signs only is a list of ints, and one of bracketed
-    such bodies a list of non-empty int lists; both are re-indented as
-    text.  Anything else (bools, floats, strings, null, other containers)
-    is laid out element by element.  Other lists, such as lists of dicts,
-    are not rendered flat, so their items are not encoded twice.
+    takes seconds on a defining set of 2M residues.  A list or tuple is
+    taken in chunks of at most ``_CHUNK`` items.  A chunk that starts with
+    an int, or with a list that starts with an int, is rendered flat by
+    the C encoder first.  A body of digits, commas, spaces and minus signs
+    only is a list of ints, and one of bracketed such bodies a list of
+    non-empty int lists; both are re-indented as text.  Anything else
+    (bools, floats, strings, null, other containers) is laid out item by
+    item.  Other chunks, such as lists of dicts, are not rendered flat, so
+    their items are not encoded twice.  Memory beyond ``value`` itself is
+    bounded by one chunk's text, whatever the length of its lists.
+
+    Text goes to ``write`` as soon as it is encoded, so a value that
+    ``json`` cannot encode fails after part of the document is out; the
+    CLI's payloads hold plain values by construction.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        opening, closing = "{", "}"
-        # json writes a non-string key as its own JSON text, quoted
-        entries = [(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", item)
-                   for key, item in value.items()]
+        write("{")
+        for i, (key, item) in enumerate(value.items()):
+            # json writes a non-string key as its own JSON text, quoted
+            label = json.dumps(key if isinstance(key, str) else json.dumps(key))
+            write((",\n" if i else "\n") + inner + label + ": ")
+            _json_parts(item, inner, write)
+        write("\n" + pad + "}")
     elif isinstance(value, (list, tuple)) and value:
-        first = value[0]
-        nested = isinstance(first, (list, tuple))
-        if isinstance(first, int) or (nested and first and isinstance(first[0], int)):
-            flat = json.dumps(value)
-            if not nested and re.fullmatch(r"\[[0-9, -]*\]", flat):
-                out += ("[\n", inner, flat[1:-1].replace(", ", ",\n" + inner), "\n", pad, "]")
-                return
-            if nested and re.fullmatch(r"\[\[[0-9, -]+\](, \[[0-9, -]+\])*\]", flat):
-                deeper = inner + "  "
-                rows = flat[2:-2].replace(", ", ",\n" + deeper).replace(
-                    "],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper)
-                out += ("[\n", inner, "[\n", deeper, rows, "\n", inner, "]\n", pad, "]")
-                return
-        opening, closing = "[", "]"
-        entries = [("", item) for item in value]
+        write("[")
+        for start in range(0, len(value), _CHUNK):
+            _json_chunk(value[start:start + _CHUNK], start, inner, write)
+        write("\n" + pad + "]")
     else:
-        out.append(json.dumps(value))
-        return
-    out.append(opening)
-    for i, (label, item) in enumerate(entries):
-        out += (",\n" if i else "\n", inner, label)
-        _json_parts(item, inner, out)
-    out += ("\n", pad, closing)
+        write(json.dumps(value))
+
+
+def _json_chunk(chunk, start: int, inner: str, write) -> None:
+    """Write the items of one list chunk, the first of them item
+    ``start`` of its list, each on its own line at indent ``inner``."""
+    first = chunk[0]
+    nested = isinstance(first, (list, tuple))
+    if isinstance(first, int) or (nested and first and isinstance(first[0], int)):
+        flat = json.dumps(chunk)
+        lead = (",\n" if start else "\n") + inner
+        if not nested and _INT_LIST.fullmatch(flat):
+            write(lead)
+            write(flat[1:-1].replace(", ", ",\n" + inner))
+            return
+        if nested and _INT_ROWS.fullmatch(flat):
+            deeper = inner + "  "
+            write(lead + "[\n" + deeper)
+            write(flat[2:-2].replace(", ", ",\n" + deeper).replace(
+                "],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper))
+            write("\n" + inner + "]")
+            return
+    for i, item in enumerate(chunk, start):
+        write((",\n" if i else "\n") + inner)
+        _json_parts(item, inner, write)
 
 
 def _emit_json(payload: dict, output: Optional[str] = None) -> None:
-    parts: list[str] = []
-    _json_parts(payload, "", parts)
-    parts.append("\n")
+    """Write ``json.dumps(payload, indent=2)`` and a newline to ``output``,
+    or to stdout, through :func:`_json_parts`: the text is written as it
+    is encoded and never held whole."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+            _json_parts(payload, "", fh.write)
+            fh.write("\n")
     else:
-        sys.stdout.writelines(parts)
+        _json_parts(payload, "", sys.stdout.write)
+        sys.stdout.write("\n")
 
 
 def _read_elements(source: str) -> list[int]:
@@ -305,7 +332,9 @@ def _cmd_family(args) -> int:
     sets, audit = build_family(args.family, **params)
     zset = dict(sets)[getattr(args, "which", family.labels[0])]
     if args.elements_only:
-        sys.stdout.write("".join(f"{x}\n" for x in zset))
+        elements = zset.elements
+        for start in range(0, len(elements), _CHUNK):
+            sys.stdout.write("\n".join(map(str, elements[start:start + _CHUNK].tolist())) + "\n")
         return EXIT_OK
     return _report(zset, audit, args)
 

@@ -190,12 +190,16 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
     n = zset.n
     delta, start = bch_run(zset)
     dual_set = dual_defining_set(zset)
-    if len(dual_set) == n:
+    dual_size = len(dual_set)
+    if dual_size == n:
         # Z was empty: the dual is the zero code, whose "distance" is the
         # vacuous n + 1 (one run covering the whole circle).
         dual_delta, dual_start = n + 1, 0
     else:
         dual_delta, dual_start = bch_run(dual_set)
+    # freed before the residue list is built, so that list is the only
+    # whole-set object alive at its peak
+    del dual_set
     return {
         "n": n,
         "m": (n + 1).bit_length() - 1,
@@ -206,8 +210,8 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
         "bch_lower_bound": delta,
         "bch_interval_start": start,
         "dual": {
-            "size": len(dual_set),
-            "dimension": n - len(dual_set),
+            "size": dual_size,
+            "dimension": n - dual_size,
             "bch_lower_bound": dual_delta,
             "bch_interval_start": dual_start,
         },

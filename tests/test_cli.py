@@ -10,13 +10,16 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bincyclic
+from bincyclic import cli
 from bincyclic.cli import _build_parser, _emit_json, run_command
 from bincyclic.codecore import assemble, describe
 from bincyclic.constructions import FAMILIES, DefiningSet, audit_as_dict, build_even_m
@@ -75,6 +78,12 @@ class TestConstruct:
         assert tuple(values) == SQRT_M5_Z
         # parseable straight back into the identical set
         assert DefiningSet.from_elements(31, values).as_set() == set(SQRT_M5_Z)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 16])
+    def test_elements_only_in_chunks(self, chunk, capsys):
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert run_command(["construct", "sqrt", "--m", "5", "--elements-only"]) == 0
+        assert capsys.readouterr().out == "".join(f"{x}\n" for x in SQRT_M5_Z)
 
     def test_even_m_json_payload(self, capsys):
         rc = run_command(
@@ -419,19 +428,71 @@ _PAYLOADS = st.recursive(
 )
 
 
-class TestEmitJson:
-    @settings(max_examples=150, deadline=None)
-    @given(_PAYLOADS)
-    def test_same_text_as_the_indenting_encoder(self, payload):
-        want = json.dumps(payload, indent=2) + "\n"
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            _emit_json(payload)
-        assert out.getvalue() == want
+def _assert_emits_indented_json(payload, to_file: bool = True) -> None:
+    """``_emit_json`` writes exactly ``json.dumps(payload, indent=2)`` and a
+    newline, to stdout and (with ``to_file``) to an ``--output`` file."""
+    want = json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(payload)
+    assert out.getvalue() == want
+    if to_file:
         with tempfile.TemporaryDirectory() as tmp:
             target = Path(tmp, "out.json")
             _emit_json(payload, str(target))
             assert target.read_bytes() == want.encode("utf-8")
+
+
+class _Discard:
+    """A stdout that drops what it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def writelines(self, lines) -> None:
+        for _ in lines:
+            pass
+
+
+class TestEmitJson:
+    @settings(max_examples=150, deadline=None)
+    @given(_PAYLOADS)
+    def test_same_text_as_the_indenting_encoder(self, payload):
+        _assert_emits_indented_json(payload)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_same_text_in_small_chunks(self, chunk, payload):
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            _assert_emits_indented_json(payload, to_file=False)
+
+    @pytest.mark.parametrize(
+        "nested, last", [(False, None), (False, True), (True, None), (True, [])],
+        ids=["ints", "ints-true-last", "rows", "rows-empty-last"],
+    )
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lists_at_the_chunk_boundary(self, offset, nested, last):
+        length = cli._CHUNK + offset
+        items = [[i, -i] for i in range(length)] if nested else list(range(-3, length - 3))
+        if last is not None:
+            items[-1] = last
+        _assert_emits_indented_json({"items": items, "after": [items[-2:], 1]}, to_file=False)
+
+    def test_memory_is_bounded_by_one_chunk(self):
+        # 2^20 ints and 2^17 int pairs make 10 MB and 4 MB of indented text;
+        # holding the document whole (about 33 MB with its flat copies)
+        # fails the bound, one chunk's encoding and re-indenting (about
+        # 6 MB for 2^16 pairs) passes it
+        payload = {"ints": list(range(2**20)), "pairs": [[i, i + 1] for i in range(2**17)]}
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                _emit_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB while writing"
 
 
 def _help_options(argv: list[str], capsys) -> set[str]:

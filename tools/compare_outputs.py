@@ -15,9 +15,9 @@ record any revision.
 The list covers ``construct --json`` and ``export`` for every family at
 several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
-and ``--i``), ``analyze`` and ``export`` with each distance engine
-(the exhaustive sweep also on two-lane codes of length 127, once with
-two threads; the search also for enough iterations to span several
+and ``--i``) and ``--elements-only`` at m = 20, ``analyze`` and
+``export`` with each distance engine (the exhaustive sweep also on
+two-lane codes of length 127, once with two threads; the search also for enough iterations to span several
 reduction batches; the proof engine in JSON and human form, and on an
 [8191,14] code, which assembles a set of 8177 residues),
 ``verify-paper`` (fast and ``--all``, JSON and human), the ``--help`` text
@@ -63,6 +63,8 @@ LARGE = (
     ["construct", "even-m", "--m", "18", "--which", "C2", "--json"],
     ["export", "weight-class", "--m", "17", "--i", "0"],
     ["export", "weight-class", "--m", "17", "--i", "1"],
+    # 524,286 residues: many chunks of the line writer
+    ["construct", "even-m", "--m", "20", "--which", "C1", "--elements-only"],
 )
 
 #: The cosets of 1 and 3 mod 15 (a [15,7,5] code), for ``analyze``.
