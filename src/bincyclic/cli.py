@@ -183,12 +183,12 @@ def _print_distance(result) -> None:
 
 
 #: Most items of one list that ``_json_parts`` encodes in one piece.
-_CHUNK = 2**16
+#: At 2^15 rows, the row regex's backtracking stack, about 128 bytes a
+#: row, stays near 4 MB.
+_CHUNK = 2**15
 #: The flat text of a list of ints, and of a list of non-empty int lists.
-#: The rows' repeat is possessive: a backtracking one keeps a stack entry
-#: per row, 8 MB for a chunk of 2^16 pairs, and no row can be given back.
 _INT_LIST = re.compile(r"\[[0-9, -]*\]")
-_INT_ROWS = re.compile(r"\[\[[0-9, -]+\](?:, \[[0-9, -]+\])*+\]")
+_INT_ROWS = re.compile(r"\[\[[0-9, -]+\](, \[[0-9, -]+\])*\]")
 
 
 def _json_parts(value, pad: str, write) -> None:
@@ -256,7 +256,9 @@ def _json_chunk(chunk, start: int, inner: str, write) -> None:
 def _emit_json(payload: dict, output: Optional[str] = None) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline to ``output``,
     or to stdout, through :func:`_json_parts`: the text is written as it
-    is encoded and never held whole."""
+    is encoded and never held whole.  So a value that ``json`` cannot
+    encode leaves a partial document on stdout, or a partial ``output``
+    file in place of the old one."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             _json_parts(payload, "", fh.write)

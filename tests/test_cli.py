@@ -449,10 +449,6 @@ class _Discard:
     def write(self, text: str) -> int:
         return len(text)
 
-    def writelines(self, lines) -> None:
-        for _ in lines:
-            pass
-
 
 class TestEmitJson:
     @settings(max_examples=150, deadline=None)
@@ -482,8 +478,8 @@ class TestEmitJson:
     def test_memory_is_bounded_by_one_chunk(self):
         # 2^20 ints and 2^17 int pairs make 10 MB and 4 MB of indented text;
         # holding the document whole (about 33 MB with its flat copies)
-        # fails the bound, one chunk's encoding and re-indenting (about
-        # 6 MB for 2^16 pairs) passes it
+        # fails the bound, one chunk's encoding, matching and re-indenting
+        # (about 6 MB for 2^15 pairs) passes it
         payload = {"ints": list(range(2**20)), "pairs": [[i, i + 1] for i in range(2**17)]}
         tracemalloc.start()
         try:

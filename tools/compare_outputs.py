@@ -15,11 +15,11 @@ record any revision.
 The list covers ``construct --json`` and ``export`` for every family at
 several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
-and ``--i``) and ``--elements-only`` at m = 20, ``analyze`` and
-``export`` with each distance engine (the exhaustive sweep also on
-two-lane codes of length 127, once with two threads; the search also for enough iterations to span several
-reduction batches; the proof engine in JSON and human form, and on an
-[8191,14] code, which assembles a set of 8177 residues),
+and ``--i``) and ``--elements-only`` at m = 20, ``analyze`` and ``export``
+with each distance engine (the exhaustive sweep also on two-lane codes of
+length 127, once with two threads; the search also for enough iterations
+to span several reduction batches; the proof engine in JSON and human
+form, and on an [8191,14] code, which assembles a set of 8177 residues),
 ``verify-paper`` (fast and ``--all``, JSON and human), the ``--help`` text
 of five parsers and the error cases with their exit codes.  A command
 that ends in ``SystemExit`` (``--help``) is recorded with the exit code it
