@@ -10,7 +10,6 @@ import json
 
 from bincyclic import (
     assemble,
-    audit_as_dict,
     build_sqrt_complement,
     describe,
     run_fixture,
@@ -36,7 +35,7 @@ def main():
     payload = {
         "schema": 1,
         "code": describe(z, generator=assemble(z).generator),
-        "audit": audit_as_dict(audit),
+        "audit": vars(audit),
     }
     print("\nexport payload for the m=5 block construction:")
     print(json.dumps(payload, indent=2)[:400], "...")

@@ -25,14 +25,8 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
-from .codecore import (
-    CyclicCode,
-    DegenerateCodeError,
-    InvariantError,
-    assemble,
-    describe,
-)
-from .constructions import FAMILIES, DefiningSet, SelectionError, audit_as_dict, build_family
+from .codecore import CyclicCode, InvariantError, assemble, describe
+from .constructions import FAMILIES, DefiningSet, build_family
 from .cosets import build_table
 from .distance import (
     BudgetExceeded,
@@ -322,7 +316,7 @@ def _report(zset: DefiningSet, audit, args) -> int:
     if result is not None:
         payload["distance"] = result.as_dict()
     if audit is not None:
-        payload["audit"] = audit_as_dict(audit)
+        payload["audit"] = vars(audit)
     _emit_json(payload, args.output)
     return EXIT_OK
 
@@ -414,15 +408,7 @@ def run_command(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (
-        ValueError,
-        SelectionError,
-        DegenerateCodeError,
-        InvariantError,
-        BudgetExceeded,
-        SearchError,
-        OSError,
-    ) as exc:
+    except (ValueError, InvariantError, BudgetExceeded, SearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

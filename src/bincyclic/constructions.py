@@ -1,9 +1,12 @@
 """Defining-set builders for five families of binary cyclic codes.
 
 Every builder returns a validated :class:`DefiningSet` (doubling-closed,
-guaranteed size) plus an audit record carrying the intermediate sets and
-every selection decision, so the set-theoretic identities the guarantees
-rest on can be re-checked from the outside.
+guaranteed size) plus an audit carrying the intermediate sets and every
+selection decision, so the set-theoretic identities the guarantees rest
+on can be re-checked from the outside.  The audit is a
+``types.SimpleNamespace``: its ``construction`` tag, then the builder's
+fields in a fixed order, holding ints, strings, bools, None and tuples.
+``vars(audit)`` is the ``audit`` object of the JSON envelope.
 
 The five families, all of length n = 2^m - 1 and dimension within one of
 n/2:
@@ -28,9 +31,10 @@ through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, ClassVar, Mapping, Union
+from types import SimpleNamespace
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -141,32 +145,6 @@ def _complement_pairs(table: CosetTable, resid_mask: np.ndarray) -> list[tuple[i
     return pairs
 
 
-@dataclass(frozen=True)
-class EvenMAudit:
-    """Intermediate sets of the even-m split, in the vector domain [0, 2^m).
-
-    ``b/t/g_preimage`` are the residue preimages of the three special
-    vector families (halves equal above median weight, halves equal at
-    median weight, halves complementary at median weight).
-    ``residual_pairs`` lists (into-first-half leader, into-second-half
-    leader) for each complement-paired coset of the leftover middle layer.
-    """
-
-    tag: ClassVar[str] = "even-m"
-
-    m: int
-    t: int
-    b_preimage: tuple[int, ...]
-    t_preimage: tuple[int, ...]
-    g_preimage: tuple[int, ...]
-    residual_pairs: tuple[tuple[int, int], ...]
-    p1_preimage: tuple[int, ...]
-    p2_preimage: tuple[int, ...]
-    s1_size: int
-    s2_size: int
-    swap_pairs: bool
-
-
 def build_even_m(m: int, *, swap_pairs: bool = False):
     """Complementary defining sets Z1, Z2 for even m (4 <= m <= 24).
 
@@ -175,7 +153,13 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     Guarantees |Z1| = 2^(m-1) - 2 and |Z2| = 2^(m-1); both carry a run of
     2^(m/2) - 2 consecutive residues.
 
-    Returns ``(Z1, Z2, audit)``.
+    Returns ``(Z1, Z2, audit)``.  The audit's sets live in the vector
+    domain [0, 2^m): ``b/t/g_preimage`` are the residue preimages of the
+    three special vector families (halves equal above median weight,
+    halves equal at median weight, halves complementary at median
+    weight), and ``residual_pairs`` lists (into-first-half leader,
+    into-second-half leader) for each complement-paired coset of the
+    leftover middle layer.
     """
     if m % 2 != 0 or not 4 <= m <= 24:
         raise ValueError(f"need even m with 4 <= m <= 24, got {m}")
@@ -233,7 +217,8 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     _check_size(z1, 2 ** (m - 1) - 2)
     _check_size(z2, 2 ** (m - 1))
 
-    audit = EvenMAudit(
+    audit = SimpleNamespace(
+        construction="even-m",
         m=m,
         t=t,
         b_preimage=tuple(np.flatnonzero(b_mask).tolist()),
@@ -282,8 +267,10 @@ def _greedy_select(
     the cosets that meet the dual tail {n - tail_len..n - 1}, and every
     secondary coset joins.  The base cosets always join.
 
-    Returns ``(mask, chosen secondary leaders, trace)``; ``trace`` holds
-    the audit fields both builders share.
+    Returns ``(mask, chosen secondary leaders, selection, chosen full
+    leaders, bounds)``.  ``selection`` (``f_leaders`` to ``case``) and
+    ``bounds`` (the dual tail) hold the audit fields both builders share;
+    each builder places its own fields around them.
     """
     n = table.n
     met = np.unique(table.leader_of[1 : d0_max + 1]).tolist()
@@ -316,39 +303,11 @@ def _greedy_select(
         raise InvariantError("the guaranteed run must sit inside Z")
     if mask[n - tail_len :].any():
         raise InvariantError("the dual tail must stay outside Z")
-    trace = {
-        "f_leaders": f_leaders,
-        "sigma0": sigma0,
-        "sigma_lo": sigma_lo,
-        "sigma": sigma,
-        "case": case,
-        "chosen_full_leaders": chosen_full,
-        "forbidden_leaders": tuple(sorted(tail_leaders)),
-        "tail_first": n - tail_len,
-        "tail_last": n - 1,
-    }
-    return mask, chosen_secondary, trace
-
-
-@dataclass(frozen=True)
-class TwoPrimeAudit:
-    """Selection trace for the m = 2p builder."""
-
-    tag: ClassVar[str] = "two-prime"
-
-    p: int
-    m: int
-    d0_max: int
-    f_leaders: tuple[int, ...]
-    sigma0: int
-    sigma_lo: int
-    sigma: int
-    case: str
-    chosen_full_leaders: tuple[int, ...]
-    chosen_small_leaders: tuple[int, ...]
-    forbidden_leaders: tuple[int, ...]
-    tail_first: int
-    tail_last: int
+    selection = {"f_leaders": f_leaders, "sigma0": sigma0, "sigma_lo": sigma_lo,
+                 "sigma": sigma, "case": case}
+    bounds = {"forbidden_leaders": tuple(sorted(tail_leaders)),
+              "tail_first": n - tail_len, "tail_last": n - 1}
+    return mask, chosen_secondary, selection, chosen_full, bounds
 
 
 def build_two_prime(p: int):
@@ -371,7 +330,7 @@ def build_two_prime(p: int):
     d0_max = m_main + m_extra - 1
     e = (2 * p).bit_length()  # floor(log2(2p)) + 1
     # Full cosets have size 2p, secondary ones size p; {0} always joins.
-    mask, chosen_small, trace = _greedy_select(
+    mask, chosen_small, selection, chosen_full, bounds = _greedy_select(
         table,
         full_leaders=by_size[m],
         secondary_leaders=by_size[p],
@@ -384,31 +343,17 @@ def build_two_prime(p: int):
     z = DefiningSet.from_mask(n, mask, {"construction": "two-prime", "p": p, "m": m})
     _check_size(z, 2 ** (m - 1) - 1)
 
-    audit = TwoPrimeAudit(p=p, m=m, d0_max=d0_max, chosen_small_leaders=chosen_small, **trace)
+    audit = SimpleNamespace(
+        construction="two-prime",
+        p=p,
+        m=m,
+        d0_max=d0_max,
+        **selection,
+        chosen_full_leaders=chosen_full,
+        chosen_small_leaders=chosen_small,
+        **bounds,
+    )
     return z, audit
-
-
-@dataclass(frozen=True)
-class OddPqAudit:
-    """Selection trace for the m = p1*p2 builder."""
-
-    tag: ClassVar[str] = "odd-pq"
-
-    p1: int
-    p2: int
-    m: int
-    d0_max: int
-    base_small_leaders: tuple[int, ...]
-    f_leaders: tuple[int, ...]
-    sigma0: int
-    sigma_lo: int
-    sigma: int
-    case: str
-    chosen_mid_leaders: tuple[int, ...]
-    chosen_full_leaders: tuple[int, ...]
-    forbidden_leaders: tuple[int, ...]
-    tail_first: int
-    tail_last: int
 
 
 def build_odd_pq(p1: int, p2: int):
@@ -440,7 +385,7 @@ def build_odd_pq(p1: int, p2: int):
     e = m.bit_length()  # floor(log2(m)) + 1 (m is never a power of two here)
     # Full cosets have size m, secondary ones size p2; half of the size-p1
     # cosets always join.
-    mask, chosen_mid, trace = _greedy_select(
+    mask, chosen_mid, selection, chosen_full, bounds = _greedy_select(
         table,
         full_leaders=by_size[m],
         secondary_leaders=by_size[p2],
@@ -455,14 +400,17 @@ def build_odd_pq(p1: int, p2: int):
     if mask[0]:
         raise InvariantError("0 must stay outside Z")
 
-    audit = OddPqAudit(
+    audit = SimpleNamespace(
+        construction="odd-pq",
         p1=p1,
         p2=p2,
         m=m,
         d0_max=d0_max,
         base_small_leaders=base_small,
+        **selection,
         chosen_mid_leaders=chosen_mid,
-        **trace,
+        chosen_full_leaders=chosen_full,
+        **bounds,
     )
     return z, audit
 
@@ -470,21 +418,6 @@ def build_odd_pq(p1: int, p2: int):
 # ---------------------------------------------------------------------------
 # odd m: low-leader block plus complementary pair representatives
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SqrtComplementAudit:
-    """Block-and-pairs trace for the odd-m builder."""
-
-    tag: ClassVar[str] = "sqrt-complement"
-
-    m: int
-    block_top: int
-    t_leaders: tuple[int, ...]
-    neg_t_leaders: tuple[int, ...]
-    residual_pairs: tuple[tuple[int, int], ...]
-    selected_leaders: tuple[int, ...]
-    overrides: tuple[int, ...] | None
 
 
 def build_sqrt_complement(m: int, overrides=None):
@@ -548,7 +481,8 @@ def build_sqrt_complement(m: int, overrides=None):
     )
     _check_size(z, 2 ** (m - 1) - 1)
 
-    audit = SqrtComplementAudit(
+    audit = SimpleNamespace(
+        construction="sqrt-complement",
         m=m,
         block_top=block_top,
         t_leaders=t_leaders,
@@ -565,30 +499,6 @@ def build_sqrt_complement(m: int, overrides=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightClassAudit:
-    """Trace of the weight-parity construction.
-
-    ``intersection_leaders`` is the four-coset identity for A ∩ B (block
-    meets negated block); ``excluded_top`` are the four residues
-    2^((m+3)/2) - j, j in {9,11,13,15}, verified absent from B.
-    """
-
-    tag: ClassVar[str] = "weight-class"
-
-    m: int
-    i: int
-    block_top: int
-    t: int
-    u: int
-    s: int
-    v: int
-    a_leaders: tuple[int, ...]
-    b0_leaders: tuple[int, ...]
-    intersection_leaders: tuple[int, ...]
-    excluded_top: tuple[int, ...]
-
-
 def build_weight_class(m: int, i: int):
     """Defining set T for odd m >= 9 and parity selector i in {0, 1}.
 
@@ -597,6 +507,10 @@ def build_weight_class(m: int, i: int):
     residues by weight parity is corrected by re-admitting the two cosets
     where B0 overlaps A and removing two explicit extra cosets; the union
     with A then has exactly 2^(m-1) - 1 elements.  Returns ``(T, audit)``.
+
+    The audit's ``intersection_leaders`` is the four-coset identity for
+    A ∩ B (block meets negated block); ``excluded_top`` are the four
+    residues 2^((m+3)/2) - j, j in {9,11,13,15}, verified absent from B.
     """
     if m % 2 == 0 or not 9 <= m <= 23:
         raise ValueError(f"need odd m with 9 <= m <= 23, got {m}")
@@ -656,7 +570,8 @@ def build_weight_class(m: int, i: int):
     if negated_mask(t_total)[: 2**half - 1].any():
         raise InvariantError("low residues must avoid -T")
 
-    audit = WeightClassAudit(
+    audit = SimpleNamespace(
+        construction="weight-class",
         m=m,
         i=i,
         block_top=L,
@@ -670,25 +585,6 @@ def build_weight_class(m: int, i: int):
         excluded_top=excluded_top,
     )
     return z, audit
-
-
-#: All audit record types emitted by the builders.
-ConstructionAudit = Union[EvenMAudit, TwoPrimeAudit, OddPqAudit, SqrtComplementAudit, WeightClassAudit]
-
-
-def audit_as_dict(audit: ConstructionAudit) -> dict:
-    """JSON-ready form of any builder audit: its construction tag, then
-    every field in declaration order.  A tuple field becomes a list, and a
-    tuple of pairs a list of lists; the first element decides for the
-    whole field, since a field never mixes the two."""
-    out: dict = {"construction": audit.tag}
-    for f in fields(audit):
-        value = getattr(audit, f.name)
-        if isinstance(value, tuple):
-            of_pairs = bool(value) and isinstance(value[0], tuple)
-            value = [list(p) for p in value] if of_pairs else list(value)
-        out[f.name] = value
-    return out
 
 
 # ---------------------------------------------------------------------------

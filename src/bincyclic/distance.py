@@ -32,6 +32,7 @@ on dimension.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -212,8 +213,9 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
     """Exact minimum distance by full Gray-code enumeration.
 
     Refuses dimensions above ``budget`` (default 33, around 8.6e9 scored
-    messages).  ``threads`` is a parallelism hint; the message space is
-    split into contiguous Gray segments and the per-segment results are
+    messages).  ``threads`` is a parallelism hint, capped at the number of
+    CPUs, since each worker holds its own scratch block; the message space
+    is split into contiguous Gray segments and the per-segment results are
     min-combined on (weight, witness), so the answer -- including the
     canonical witness, the smallest bit-packed minimum-weight word -- is
     identical for any worker count.
@@ -226,6 +228,7 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
         )
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    threads = min(threads, os.cpu_count() or 1)
 
     lanes = (code.n + 63) // 64
     rows = _to_lanes([code.generator << i for i in range(k)], lanes)

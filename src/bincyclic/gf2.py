@@ -83,19 +83,11 @@ def poly_mod(a: BinaryPolynomial, b: BinaryPolynomial) -> BinaryPolynomial:
     return poly_divrem(a, b)[1]
 
 
-def poly_to_bitstring(a: BinaryPolynomial, width: int | None = None) -> str:
-    """Little-endian bit-string: ``"1101"`` encodes 1 + x + x^3.
-
-    ``width`` pads with trailing zeros (useful for fixed-length codewords).
-    """
+def poly_to_bitstring(a: BinaryPolynomial) -> str:
+    """Little-endian bit-string: ``"1101"`` encodes 1 + x + x^3."""
     if a < 0:
         raise ValueError("negative value is not a polynomial encoding")
-    bits = format(a, "b")[::-1] if a else "0"
-    if width is not None:
-        if len(bits) > width:
-            raise ValueError(f"polynomial does not fit in width {width}")
-        bits = bits.ljust(width, "0")
-    return bits
+    return format(a, "b")[::-1] if a else "0"
 
 
 def poly_from_bitstring(s: str) -> BinaryPolynomial:

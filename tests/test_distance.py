@@ -144,7 +144,9 @@ class TestParallelDeterminism:
             (63, "wide", 21), # wide enough that 2 and 8 workers really split
         ],
     )
-    def test_thread_counts_agree(self, n, elements, k):
+    def test_thread_counts_agree(self, n, elements, k, monkeypatch):
+        # as many CPUs as workers asked for, so 8 workers really run on any host
+        monkeypatch.setattr(distance.os, "cpu_count", lambda: 8)
         if elements is None:
             z, _ = build_sqrt_complement(5)
         else:
@@ -158,6 +160,24 @@ class TestParallelDeterminism:
         witnesses = {r.witness for r in results}
         assert len(distances) == 1 and len(witnesses) == 1
         assert results[0].witness.bit_count() == results[0].exact_distance
+
+    @pytest.mark.parametrize("cpus,workers", [(2, [2]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        # the n = 63, k = 21 code above, which 8 workers split 8 ways
+        mask = build_table(6).union_mask([1, 3, 5, 7, 11, 13, 15])
+        code = assemble(DefiningSet.from_mask(63, mask, {"construction": "random"}))
+        want = exact_min_distance(code, threads=1)
+        seen = []
+        pool = distance.ThreadPoolExecutor
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(distance, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(distance.os, "cpu_count", lambda: cpus)
+        assert exact_min_distance(code, threads=8) == want
+        assert seen == workers
 
 
 # -- the Gray sweep's kernel ----------------------------------------------
@@ -296,6 +316,7 @@ class TestScanRangeKernel:
         # a 16 KB block leaves 2^10 combinations, so 2 and 8 workers really split
         if block_bytes is not None:
             monkeypatch.setattr("bincyclic.distance._BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(distance.os, "cpu_count", lambda: 8)
         code = _two_lane_code()
         results = {exact_min_distance(code, threads=t) for t in (1, 2, 8)}
         assert len(results) == 1

@@ -17,15 +17,16 @@ several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
 and ``--i``) and ``--elements-only`` at m = 20, ``analyze`` and ``export``
 with each distance engine (the exhaustive sweep also on two-lane codes of
-length 127, once with two threads; the search also for enough iterations
-to span several reduction batches; the proof engine in JSON and human
-form, and on an [8191,14] code, which assembles a set of 8177 residues),
-``verify-paper`` (fast and ``--all``, JSON and human), the ``--help`` text
-of five parsers and the error cases with their exit codes.  A command
-that ends in ``SystemExit`` (``--help``) is recorded with the exit code it
-carried, and one that raises any other exception as ``raised`` and the
-exception's type, so the rest are still recorded; help text is wrapped at
-``COLUMNS=80`` whatever the terminal.
+length 127, once with two threads, and on a [63,24] code with 64 threads
+asked for; the search also for enough iterations to span several reduction
+batches; the proof engine in JSON and human form, and on an [8191,14]
+code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
+``--all``, JSON and human), the ``--help`` text of five parsers and the
+error cases with their exit codes.  A command that ends in ``SystemExit``
+(``--help``) is recorded with the exit code it carried, and one that
+raises any other exception as ``raised`` and the exception's type, so the
+rest are still recorded; help text is wrapped at ``COLUMNS=80`` whatever
+the terminal.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ M4_RESIDUES = "1 2 3 4 6 8 9 12"
 
 def _residues_outside(m: int, outside: tuple[int, ...]) -> str:
     """Every residue mod 2^m - 1 outside the cyclotomic cosets of
-    ``outside``, for ``analyze``: at m = 7 a code of dimension 15 or 22 on
-    two uint64 lanes, at m = 13 an [8191,14] code."""
+    ``outside``, for ``analyze``: at m = 6 a [63,24] code, at m = 7 a code
+    of dimension 15 or 22 on two uint64 lanes, at m = 13 an [8191,14] code."""
     n = (1 << m) - 1
     free = {(x << j) % n for x in outside for j in range(m)}
     return " ".join(str(r) for r in range(n) if r not in free)
@@ -89,6 +90,8 @@ ENGINE_RUNS = (
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "search", "--seed", "3", "--iters", "40"],
     ["analyze", SCRATCH + "/m7k15.txt", "--m", "7", "--engine", "exhaustive", "--json"],
     ["analyze", SCRATCH + "/m7k22.txt", "--m", "7", "--engine", "exhaustive", "--threads", "2", "--json"],
+    # more workers asked for than any host has cores
+    ["analyze", SCRATCH + "/m6k24.txt", "--m", "6", "--engine", "exhaustive", "--threads", "64", "--json"],
     ["analyze", SCRATCH + "/m13k14.txt", "--m", "13", "--engine", "proof", "--json"],
     ["export", "sqrt", "--m", "5", "--engine", "proof"],
     ["export", "sqrt", "--m", "5", "--engine", "exhaustive", "--threads", "2"],
@@ -185,10 +188,12 @@ def record(outdir: Path, run_command) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         # analyze reads residues from files: the [15,7] code, two-prime p = 3's [63,32],
-        # two codes of length 127, one of length 8191 and one residue past int64
+        # a [63,24] code, two codes of length 127, one of length 8191 and one residue
+        # past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
         Path(scratch, "p3.txt").write_text(p3_residues, encoding="utf-8")
+        Path(scratch, "m6k24.txt").write_text(_residues_outside(6, (1, 3, 5, 7)), encoding="utf-8")
         Path(scratch, "m7k15.txt").write_text(_residues_outside(7, (0, 1, 5)), encoding="utf-8")
         Path(scratch, "m7k22.txt").write_text(_residues_outside(7, (0, 1, 5, 9)), encoding="utf-8")
         Path(scratch, "m13k14.txt").write_text(_residues_outside(13, (0, 1)), encoding="utf-8")
