@@ -20,13 +20,14 @@ from bincyclic import (
 def main():
     for fixture_id in ("example1", "table3-p3", "weight-class-m9-i0"):
         [fx] = select_fixtures(fixture_id)
-        report = run_fixture(fx)
+        report = run_fixture(fx)  # vars(report) is the fixture's --json object
         flag = "ok" if report.ok else "MISMATCH"
-        print(f"[{flag}] {fx.fixture_id}: {len(report.rows)} checks "
+        print(f"[{flag}] {report.id}: {len(report.rows)} checks "
               f"in {report.seconds:.2f}s")
-        for row in report.mismatches():
-            print(f"    {row.code}.{row.field}: expected {row.expected!r}, "
-                  f"got {row.actual!r}")
+        for row in report.rows:
+            if not row["ok"]:
+                print(f"    {row['code']}.{row['field']}: expected {row['expected']!r}, "
+                      f"got {row['actual']!r}")
         if not report.ok and fx.note:
             print(f"    note: {fx.note}")
 

@@ -22,7 +22,6 @@ import csv
 import json
 import re
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 from .codecore import CyclicCode, InvariantError, assemble, describe
@@ -82,7 +81,8 @@ def _build_parser() -> _Parser:
     p_vp.add_argument("--all", action="store_true", help="include slow fixtures")
     p_vp.add_argument("--threads", type=int, default=1,
                       help="accepted and ignored: distance rows use the single-threaded "
-                           "proof engine")
+                           "proof engine, whose prefix walk a second thread does not "
+                           "speed up")
     p_vp.add_argument("--json", action="store_true")
 
     p_ex = sub.add_parser("export", help="construct + optional analysis as one JSON document")
@@ -349,36 +349,23 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
 
     reports = []
-    failed = 0
     for fx in fixtures:
         rep = run_fixture(fx)
-        reports.append((fx, rep))
-        if not rep.ok:
-            failed += 1
+        reports.append(rep)
         if not args.json:
             flag = "ok  " if rep.ok else "FAIL"
             print(f"[{flag}] {fx.fixture_id:22s} {fx.title}  ({rep.seconds:.2f}s)")
-            for row in rep.mismatches():
-                where = f"{row.code}." if row.code else ""
-                print(f"    {where}{row.field}: expected {row.expected!r}, got {row.actual!r}")
+            for row in rep.rows:
+                if not row["ok"]:
+                    where = f"{row['code']}." if row["code"] else ""
+                    print(f"    {where}{row['field']}: expected {row['expected']!r}, "
+                          f"got {row['actual']!r}")
             if not rep.ok and fx.note:
                 print(f"    note: {fx.note}")
 
+    failed = sum(not rep.ok for rep in reports)
     if args.json:
-        _emit_json(
-            {
-                "schema": 1,
-                "fixtures": [
-                    {
-                        "id": fx.fixture_id,
-                        "ok": rep.ok,
-                        "seconds": rep.seconds,
-                        "rows": [asdict(row) for row in rep.rows],
-                    }
-                    for fx, rep in reports
-                ],
-            }
-        )
+        _emit_json({"schema": 1, "fixtures": [vars(rep) for rep in reports]})
     else:
         print(f"{len(fixtures)} fixture(s): {len(fixtures) - failed} passed, {failed} failed")
     return EXIT_MISMATCH if failed else EXIT_OK

@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Optional
 
@@ -296,7 +296,9 @@ def _extend_tails(tails: list, rows: np.ndarray) -> None:
 
     ``tails[t - 1]`` is ``(xors, offsets)``: the XOR of every
     t-subset of rows, sorted by first index, and ``offsets[j]``, the
-    position of the first subset whose first index is >= j.
+    position of the first subset whose first index is >= j.  Each table
+    lists its subsets in lexicographic order, so entry ``idx`` of the
+    t-subset table is the ``idx``-th t-subset of ``range(k)``.
     """
     k = rows.shape[0]
     if not tails:
@@ -310,21 +312,9 @@ def _extend_tails(tails: list, rows: np.ndarray) -> None:
     tails.append((np.take(prev, after, axis=0) ^ np.repeat(rows, counts, axis=0), offsets))
 
 
-def _tail_subset(tails: list, t: int, idx: int) -> list[int]:
-    """Row indices of entry ``idx`` of the t-subset table."""
-    subset = []
-    for level in range(t, 0, -1):
-        offsets = tails[level - 1][1]
-        first = int(np.searchsorted(offsets, idx, side="right")) - 1
-        subset.append(first)
-        if level > 1:
-            idx = int(tails[level - 2][1][first + 1]) + idx - int(offsets[first])
-    return subset
-
-
 def _subset_blocks(rows: np.ndarray, tails: list, w: int):
     """Yield ``(head, start, block)`` so that the blocks hold the XOR of
-    every w-subset of ``rows`` exactly once.
+    every w-subset of ``rows`` exactly once, in lexicographic order.
 
     With t the largest weight <= w whose subset table holds at most
     ``_TAIL_WORDS`` uint64 words, ``block`` is the XOR of the rows in
@@ -417,10 +407,8 @@ def proven_min_distance(code: CyclicCode) -> DistanceResult:
             hit = int(np.argmin(counts))
             if int(counts[hit]) + w < best_w:
                 best_w = int(counts[hit]) + w
-                info = sum(1 << (r + i) for i in head)
-                for i in _tail_subset(tails, w - len(head), start + hit):
-                    info |= 1 << (r + i)
-                best_wit = info | _lanes_to_int(block[hit])
+                tail = next(islice(combinations(range(k), w - len(head)), start + hit, None))
+                best_wit = sum(1 << (r + i) for i in head + tail) | _lanes_to_int(block[hit])
         w_done = w
 
     if scored != _combinations_through(k, w_done):

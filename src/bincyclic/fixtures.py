@@ -30,6 +30,7 @@ import fnmatch
 import operator
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from .codecore import assemble, bch_run, dual_defining_set
@@ -73,29 +74,6 @@ class Fixture:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    code: str
-    field: str
-    expected: object
-    actual: object
-    ok: bool
-
-
-@dataclass(frozen=True)
-class FixtureReport:
-    fixture_id: str
-    rows: tuple[CheckRow, ...]
-    seconds: float
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    def mismatches(self) -> list[CheckRow]:
-        return [row for row in self.rows if not row.ok]
-
-
 def _span(values: tuple[int, ...]) -> str:
     """Compact display form: contiguous runs collapse to 'a..b'."""
     if not values:
@@ -112,19 +90,23 @@ def _build_sets(fx: Fixture):
     return build_family(fx.construction, **dict(fx.params))
 
 
-def run_fixture(fx: Fixture) -> FixtureReport:
+def run_fixture(fx: Fixture) -> SimpleNamespace:
     """Rebuild one fixture and compare every recorded value.
 
-    A distance certificate that fails its re-check raises
-    :class:`~bincyclic.codecore.InvariantError`.
+    The report's ``vars`` are the fixture's object in ``verify-paper
+    --json``: ``id``, ``ok`` (every row holds), ``seconds`` and ``rows``,
+    each row a dict of ``code`` ("" for audit rows), ``field``,
+    ``expected``, ``actual`` and ``ok``.  A distance certificate that
+    fails its re-check raises :class:`~bincyclic.codecore.InvariantError`.
     """
     t_start = time.perf_counter()
-    rows: list[CheckRow] = []
+    rows: list[dict] = []
     label = ""  # the code the next rows are about; "" for the audit
 
     def check(field: str, expected, actual, ok: Optional[bool] = None) -> None:
         ok = actual == expected if ok is None else ok
-        rows.append(CheckRow(label, field, expected, actual, ok))
+        rows.append({"code": label, "field": field, "expected": expected,
+                     "actual": actual, "ok": ok})
 
     primal, audit = _build_sets(fx)
     sets: dict[str, DefiningSet] = dict(primal)
@@ -183,7 +165,8 @@ def run_fixture(fx: Fixture) -> FixtureReport:
             check(f"search_weight (seed {seed}, {iterations} iters, depth {depth})",
                   exp.search_weight, result.best_weight_found)
 
-    return FixtureReport(fx.fixture_id, tuple(rows), time.perf_counter() - t_start)
+    return SimpleNamespace(id=fx.fixture_id, ok=all(row["ok"] for row in rows),
+                           seconds=time.perf_counter() - t_start, rows=rows)
 
 
 def select_fixtures(pattern: Optional[str] = None, *, include_slow: bool = False) -> list[Fixture]:

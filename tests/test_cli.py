@@ -23,7 +23,7 @@ from bincyclic import cli
 from bincyclic.cli import _build_parser, _emit_json, run_command
 from bincyclic.codecore import assemble, describe
 from bincyclic.constructions import FAMILIES, DefiningSet, build_even_m
-from bincyclic.fixtures import EXAMPLE1_Z2, FIXTURES, SQRT_M5_Z
+from bincyclic.fixtures import EXAMPLE1_Z2, FIXTURES, SQRT_M5_Z, run_fixture, select_fixtures
 from bincyclic.gf2 import FieldContext, make_field, poly_to_hex
 
 # One small instance per family: its CLI arguments and the builder keywords
@@ -318,6 +318,24 @@ class TestVerifyPaper:
         assert rows and not all(row["ok"] for row in rows)
         for row in rows:
             assert list(row) == ["code", "field", "expected", "actual", "ok"]
+
+    @pytest.mark.parametrize("fixture_id, failing", [
+        ("example1", []),
+        ("weight-class-m9-i0", [("C", "dimension", 256, 247), ("C", "size", 255, 264),
+                                ("C-dual", "dimension", 255, 264)]),
+    ])
+    def test_report_is_the_json_object(self, capsys, fixture_id, failing):
+        [fx] = select_fixtures(fixture_id)
+        report = vars(run_fixture(fx))
+        rc = run_command(["verify-paper", "--fixture", fixture_id, "--json"])
+        assert rc == (2 if failing else 0)
+        [printed] = json.loads(capsys.readouterr().out)["fixtures"]
+        assert list(report) == ["id", "ok", "seconds", "rows"]
+        assert report["ok"] == (not failing)
+        assert [(row["code"], row["field"], row["expected"], row["actual"])
+                for row in report["rows"] if not row["ok"]] == failing
+        report["seconds"] = printed["seconds"] = None
+        assert json.loads(json.dumps(report)) == printed
 
     def test_glob_pattern_selection(self, capsys):
         rc = run_command(["verify-paper", "--fixture", "even-m*"])
