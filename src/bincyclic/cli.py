@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
+from itertools import chain
 from typing import Optional
 
 from .codecore import CyclicCode, InvariantError, assemble, describe
@@ -101,13 +101,8 @@ def _add_family_args(parser: _Parser) -> list[_Parser]:
     family_parsers = []
     for name, family in FAMILIES.items():
         f = fam.add_parser(name, help=family.help)
-        for p in family.params:
-            flag = p.flag or "--" + p.name.replace("_", "-")
-            if p.type is bool:
-                f.add_argument(flag, dest=p.name, action="store_true", help=p.help)
-            else:
-                f.add_argument(flag, dest=p.name, type=p.type, choices=p.choices,
-                               metavar=p.metavar, required=p.required, help=p.help)
+        for flag, keywords in family.params.items():
+            f.add_argument(flag, **keywords)
         if len(family.labels) > 1:
             f.add_argument("--which", choices=family.labels, required=True)
         family_parsers.append(f)
@@ -177,12 +172,7 @@ def _print_distance(result) -> None:
 
 
 #: Most items of one list that ``_json_parts`` encodes in one piece.
-#: At 2^15 rows, the row regex's backtracking stack, about 128 bytes a
-#: row, stays near 4 MB.
 _CHUNK = 2**15
-#: The flat text of a list of ints, and of a list of non-empty int lists.
-_INT_LIST = re.compile(r"\[[0-9, -]*\]")
-_INT_ROWS = re.compile(r"\[\[[0-9, -]+\](, \[[0-9, -]+\])*\]")
 
 
 def _json_parts(value, pad: str, write) -> None:
@@ -191,15 +181,12 @@ def _json_parts(value, pad: str, write) -> None:
 
     An indent makes CPython fall back to its pure-Python encoder, which
     takes seconds on a defining set of 2M residues.  A list or tuple is
-    taken in chunks of at most ``_CHUNK`` items.  A chunk that starts with
-    an int, or with a list that starts with an int, is rendered flat by
-    the C encoder first.  A body of digits, commas, spaces and minus signs
-    only is a list of ints, and one of bracketed such bodies a list of
-    non-empty int lists; both are re-indented as text.  Anything else
-    (bools, floats, strings, null, other containers) is laid out item by
-    item.  Other chunks, such as lists of dicts, are not rendered flat, so
-    their items are not encoded twice.  Memory beyond ``value`` itself is
-    bounded by one chunk's text, whatever the length of its lists.
+    taken in chunks of at most ``_CHUNK`` items.  A chunk of plain ints
+    (not bools), or of non-empty lists or tuples of plain ints, is rendered
+    flat by the C encoder and re-indented as text, which is exact because
+    the text of an int never holds ", ".  Any other chunk is laid out item
+    by item.  Memory beyond ``value`` itself is bounded by one chunk's
+    text, whatever the length of its lists.
 
     Text goes to ``write`` as soon as it is encoded, so a value that
     ``json`` cannot encode fails after part of the document is out; the
@@ -226,22 +213,21 @@ def _json_parts(value, pad: str, write) -> None:
 def _json_chunk(chunk, start: int, inner: str, write) -> None:
     """Write the items of one list chunk, the first of them item
     ``start`` of its list, each on its own line at indent ``inner``."""
-    first = chunk[0]
-    nested = isinstance(first, (list, tuple))
-    if isinstance(first, int) or (nested and first and isinstance(first[0], int)):
+    kinds = set(map(type, chunk))
+    lead = (",\n" if start else "\n") + inner
+    if kinds == {int}:
+        write(lead)
+        write(json.dumps(chunk)[1:-1].replace(", ", ",\n" + inner))
+        return
+    if (kinds <= {list, tuple} and all(chunk)  # every row non-empty
+            and set(map(type, chain.from_iterable(chunk))) == {int}):
+        deeper = inner + "  "
         flat = json.dumps(chunk)
-        lead = (",\n" if start else "\n") + inner
-        if not nested and _INT_LIST.fullmatch(flat):
-            write(lead)
-            write(flat[1:-1].replace(", ", ",\n" + inner))
-            return
-        if nested and _INT_ROWS.fullmatch(flat):
-            deeper = inner + "  "
-            write(lead + "[\n" + deeper)
-            write(flat[2:-2].replace(", ", ",\n" + deeper).replace(
-                "],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper))
-            write("\n" + inner + "]")
-            return
+        write(lead + "[\n" + deeper)
+        write(flat[2:-2].replace(", ", ",\n" + deeper).replace(
+            "],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper))
+        write("\n" + inner + "]")
+        return
     for i, item in enumerate(chunk, start):
         write((",\n" if i else "\n") + inner)
         _json_parts(item, inner, write)
@@ -324,7 +310,7 @@ def _report(zset: DefiningSet, audit, args) -> int:
 def _cmd_family(args) -> int:
     """``construct`` and ``export``: build one family's set and report it."""
     family = FAMILIES[args.family]
-    params = {p.name: getattr(args, p.name) for p in family.params}
+    params = {kw["dest"]: getattr(args, kw["dest"]) for kw in family.params.values()}
     sets, audit = build_family(args.family, **params)
     zset = dict(sets)[getattr(args, "which", family.labels[0])]
     if args.elements_only:

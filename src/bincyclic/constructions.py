@@ -599,28 +599,15 @@ def int_list(text: str) -> tuple[int, ...] | None:
 
 
 @dataclass(frozen=True)
-class FamilyParam:
-    """One builder keyword.  ``type`` parses its command-line value
-    (``bool`` makes an on/off flag); ``flag`` defaults to ``--name`` with
-    dashes for underscores."""
-
-    name: str
-    type: Callable[[str], object]
-    help: str
-    flag: str = ""
-    choices: tuple[int, ...] | None = None
-    metavar: str | None = None
-    required: bool = True
-
-
-@dataclass(frozen=True)
 class Family:
     """A builder, the labels of the codes it returns (in order), its
-    parameters and a one-line summary."""
+    parameters and a one-line summary.  ``params`` maps each command-line
+    flag to its ``argparse`` ``add_argument`` keywords; ``dest`` names the
+    builder keyword the flag fills."""
 
     builder: Callable
     labels: tuple[str, ...]
-    params: tuple[FamilyParam, ...]
+    params: dict[str, dict]
     help: str
 
 
@@ -629,50 +616,50 @@ FAMILIES: dict[str, Family] = {
     "even-m": Family(
         build_even_m,
         ("C1", "C2"),
-        (
-            FamilyParam("m", int, "field degree, even, 4 <= m <= 24"),
-            FamilyParam("swap_pairs", bool, "route each complement pair to the opposite side"),
-        ),
+        {
+            "--m": dict(dest="m", type=int, required=True,
+                        help="field degree, even, 4 <= m <= 24"),
+            "--swap-pairs": dict(dest="swap_pairs", action="store_true",
+                                 help="route each complement pair to the opposite side"),
+        },
         "even-m split (two codes; pick one with --which)",
     ),
     "two-prime": Family(
         build_two_prime,
         ("C",),
-        (FamilyParam("p", int, "odd prime with 2p <= 24"),),
+        {"--p": dict(dest="p", type=int, required=True, help="odd prime with 2p <= 24")},
         "m = 2p for odd prime p; 0 joins the set",
     ),
     "odd-pq": Family(
         build_odd_pq,
         ("C",),
-        (
-            FamilyParam("p1", int, "smaller odd prime"),
-            FamilyParam("p2", int, "larger odd prime, p1*p2 <= 24"),
-        ),
+        {
+            "--p1": dict(dest="p1", type=int, required=True, help="smaller odd prime"),
+            "--p2": dict(dest="p2", type=int, required=True,
+                         help="larger odd prime, p1*p2 <= 24"),
+        },
         "m = p1*p2, distinct odd primes",
     ),
     "sqrt": Family(
         build_sqrt_complement,
         ("C",),
-        (
-            FamilyParam("m", int, "field degree, odd, 5 <= m <= 23"),
-            FamilyParam(
-                "overrides",
-                int_list,
-                "comma-separated residual-pair representatives",
-                flag="--choose",
-                metavar="L1,L2,...",
-                required=False,
-            ),
-        ),
+        {
+            "--m": dict(dest="m", type=int, required=True,
+                        help="field degree, odd, 5 <= m <= 23"),
+            "--choose": dict(dest="overrides", type=int_list, metavar="L1,L2,...",
+                             help="comma-separated residual-pair representatives"),
+        },
         "odd m block construction",
     ),
     "weight-class": Family(
         build_weight_class,
         ("C",),
-        (
-            FamilyParam("m", int, "field degree, odd, 9 <= m <= 23"),
-            FamilyParam("i", int, "weight-parity selector", choices=(0, 1)),
-        ),
+        {
+            "--m": dict(dest="m", type=int, required=True,
+                        help="field degree, odd, 9 <= m <= 23"),
+            "--i": dict(dest="i", type=int, choices=(0, 1), required=True,
+                        help="weight-parity selector"),
+        },
         "odd m >= 9 weight-parity construction",
     ),
 }

@@ -161,7 +161,6 @@ def _scan_range(
     high_rows: np.ndarray,
     t_start: int,
     t_stop: int,
-    skip_zero: bool,
 ) -> tuple[int, int, int]:
     """Score Gray-code segment [t_start, t_stop) of the high message bits.
 
@@ -170,7 +169,7 @@ def _scan_range(
     XORs in the single toggled row.  A step allocates nothing: it XORs the
     block into ``scratch`` and adds the lanes' popcounts into ``weights``,
     whose dtype holds 64 * lanes + 1 (uint8 up to n = 191), so its maximum
-    marks the skipped zero message.
+    marks the zero message, which step t = 0 skips.
     """
     rows, lanes = combos.shape
     base = np.zeros(lanes, dtype=np.uint64)
@@ -195,7 +194,7 @@ def _scan_range(
         for lane in range(1, lanes):
             np.bitwise_count(scratch[:, lane], out=lane_counts)
             weights += lane_counts
-        if skip_zero and t == 0:
+        if t == 0:
             weights[0] = np.iinfo(weights.dtype).max
             scored -= 1
         scored += rows
@@ -249,11 +248,11 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
         spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
     if len(spans) == 1:
-        results = [_scan_range(combos, high_rows, 0, total, True)]
+        results = [_scan_range(combos, high_rows, 0, total)]
     else:
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             futs = [
-                pool.submit(_scan_range, combos, high_rows, lo, hi, lo == 0)
+                pool.submit(_scan_range, combos, high_rows, lo, hi)
                 for lo, hi in spans
             ]
             results = [f.result() for f in futs]

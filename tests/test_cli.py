@@ -311,7 +311,7 @@ class TestVerifyPaper:
         fields = {row["field"] for row in fx["rows"]}
         assert "dimension" in fields and "distance" in fields
 
-    def test_json_rows_are_the_check_row_fields_in_order(self, capsys):
+    def test_json_rows_have_the_report_keys_in_order(self, capsys):
         assert run_command(["verify-paper", "--fixture", "weight-class-m9-*", "--json"]) == 2
         payload = json.loads(capsys.readouterr().out)
         rows = [row for fx in payload["fixtures"] for row in fx["rows"]]
@@ -499,8 +499,11 @@ class TestEmitJson:
             _assert_emits_indented_json(payload, to_file=False)
 
     @pytest.mark.parametrize(
-        "nested, last", [(False, None), (False, True), (True, None), (True, [])],
-        ids=["ints", "ints-true-last", "rows", "rows-empty-last"],
+        "nested, last",
+        [(False, None), (False, True), (False, "1, 2"),
+         (True, None), (True, []), (True, [0, "1, 2"]), (True, [0, True])],
+        ids=["ints", "ints-true-last", "ints-string-last",
+             "rows", "rows-empty-last", "rows-string-in-last", "rows-true-in-last"],
     )
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_lists_at_the_chunk_boundary(self, offset, nested, last):
@@ -513,8 +516,8 @@ class TestEmitJson:
     def test_memory_is_bounded_by_one_chunk(self):
         # 2^20 ints and 2^17 int pairs make 10 MB and 4 MB of indented text;
         # holding the document whole (about 33 MB with its flat copies)
-        # fails the bound, one chunk's encoding, matching and re-indenting
-        # (about 6 MB for 2^15 pairs) passes it
+        # fails the bound, one chunk's encoding and re-indenting (about
+        # 3 MB for 2^15 pairs) passes it
         payload = {"ints": list(range(2**20)), "pairs": [[i, i + 1] for i in range(2**17)]}
         tracemalloc.start()
         try:

@@ -284,16 +284,16 @@ def _segments(total):
     """The whole range, the first step alone and a zero-start prefix (all
     skipping the zero message), a span from a non-zero Gray start, and a
     single last step."""
-    return [(0, total, True), (0, 1, True), (0, 3, True), (5, total - 2, False), (total - 1, total, False)]
+    return [(0, total), (0, 1), (0, 3), (5, total - 2), (total - 1, total)]
 
 
 class TestScanRangeKernel:
     def test_matches_reference_on_one_lane(self):
         for code in _codes_of_dimension(6, range(17, 23), 93):
             combos, high_rows = _sweep_inputs(code, 10)
-            for lo, hi, skip in _segments(1 << len(high_rows)):
-                got = _scan_range(combos, high_rows, lo, hi, skip)
-                want = _reference_scan_range(combos, high_rows, lo, hi, skip)
+            for lo, hi in _segments(1 << len(high_rows)):
+                got = _scan_range(combos, high_rows, lo, hi)
+                want = _reference_scan_range(combos, high_rows, lo, hi, lo == 0)
                 assert got == want, (code.dimension, lo, hi)
 
     @pytest.mark.parametrize("lanes", [2, 4])
@@ -301,9 +301,9 @@ class TestScanRangeKernel:
         code = _two_lane_code() if lanes == 2 else _four_lane_code()
         combos, high_rows = _sweep_inputs(code, 6)
         assert combos.shape[1] == lanes
-        for lo, hi, skip in _segments(1 << len(high_rows)):
-            got = _scan_range(combos, high_rows, lo, hi, skip)
-            assert got == _reference_scan_range(combos, high_rows, lo, hi, skip), (lo, hi)
+        for lo, hi in _segments(1 << len(high_rows)):
+            got = _scan_range(combos, high_rows, lo, hi)
+            assert got == _reference_scan_range(combos, high_rows, lo, hi, lo == 0), (lo, hi)
 
     def test_two_lane_sweep_matches_enumeration(self):
         code = _two_lane_code()

@@ -21,8 +21,10 @@ length 127, once with two threads, and on a [63,24] code with 64 threads
 asked for; the search also for enough iterations to span several reduction
 batches; the proof engine in JSON and human form, and on an [8191,14]
 code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
-``--all``, JSON and human), the ``--help`` text of five parsers and the
-error cases with their exit codes.  A command that ends in ``SystemExit``
+``--all``, JSON and human), the ``--help`` text of the top-level,
+``analyze`` and ``verify-paper`` parsers and of all ten family parsers
+(``construct`` and ``export`` for each family), and the error cases with
+their exit codes.  A command that ends in ``SystemExit``
 (``--help``) is recorded with the exit code it carried, and one that
 raises any other exception as ``raised`` and the exception's type, so the
 rest are still recorded; help text is wrapped at ``COLUMNS=80`` whatever
@@ -115,12 +117,11 @@ VERIFY = (
     ["verify-paper", "--fixture", "no-such-fixture"],
 )
 
+FAMILY_NAMES = ("even-m", "two-prime", "odd-pq", "sqrt", "weight-class")
+
 HELP = (
-    ["--help"],
-    ["construct", "even-m", "--help"],
-    ["analyze", "--help"],
-    ["export", "sqrt", "--help"],
-    ["verify-paper", "--help"],
+    [["--help"], ["analyze", "--help"], ["verify-paper", "--help"]]
+    + [[command, family, "--help"] for command in ("construct", "export") for family in FAMILY_NAMES]
 )
 
 ERRORS = (
