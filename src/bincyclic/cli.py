@@ -378,9 +378,6 @@ def run_command(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, InvariantError, BudgetExceeded, SearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

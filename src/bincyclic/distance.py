@@ -241,21 +241,13 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
     r = k - h
 
     total = 1 << r
-    if threads == 1 or total < 4 * threads:
-        spans = [(0, total)]
-    else:
-        step = (total + threads - 1) // threads
-        spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-    if len(spans) == 1:
+    if threads == 1:
         results = [_scan_range(combos, high_rows, 0, total)]
     else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            futs = [
-                pool.submit(_scan_range, combos, high_rows, lo, hi)
-                for lo, hi in spans
-            ]
-            results = [f.result() for f in futs]
+        starts = range(0, total, (total + threads - 1) // threads)
+        spans = zip(starts, [*starts[1:], total])
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda span: _scan_range(combos, high_rows, *span), spans))
 
     best_w, best_wit = min((w, wit) for w, wit, _ in results)
     scored = sum(s for _, _, s in results)
@@ -341,11 +333,7 @@ def _subset_blocks(rows: np.ndarray, tails: list, w: int):
 
 def _combinations_through(k: int, w: int) -> int:
     """Number of nonzero messages of information weight <= w."""
-    total, term = 0, 1
-    for j in range(1, w + 1):
-        term = term * (k - j + 1) // j  # C(k, j) from C(k, j - 1), exactly
-        total += term
-    return total
+    return sum(comb(k, j) for j in range(1, w + 1))
 
 
 def _refuse_past_limit(n: int, k: int, w: int) -> None:

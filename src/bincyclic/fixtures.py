@@ -27,6 +27,7 @@ code (defining set -(Z_n \\ Z)).
 from __future__ import annotations
 
 import fnmatch
+import functools
 import operator
 import time
 from dataclasses import dataclass
@@ -75,9 +76,7 @@ class Fixture:
 
 
 def _span(values: tuple[int, ...]) -> str:
-    """Compact display form: contiguous runs collapse to 'a..b'."""
-    if not values:
-        return "{}"
+    """Compact display form of a non-empty tuple: contiguous runs collapse to 'a..b'."""
     ordered = sorted(values)
     if ordered == list(range(ordered[0], ordered[-1] + 1)):
         return f"{ordered[0]}..{ordered[-1]}"
@@ -116,15 +115,11 @@ def run_fixture(fx: Fixture) -> SimpleNamespace:
     for name, want in fx.audit_values:
         check(f"audit.{name}", want, getattr(audit, name))
 
-    codes: dict[str, object] = {}
-
+    @functools.cache
     def code_for(name: str):
-        if name not in codes:
-            if name.endswith("-dual"):
-                codes[name] = code_for(name[:-5]).dual()
-            else:
-                codes[name] = assemble(sets[name])
-        return codes[name]
+        if name.endswith("-dual"):
+            return code_for(name[:-5]).dual()
+        return assemble(sets[name])
 
     for exp in fx.codes:
         label = exp.label
@@ -175,17 +170,11 @@ def select_fixtures(pattern: Optional[str] = None, *, include_slow: bool = False
     An explicit exact-id match overrides the slow gate: asking for a slow
     fixture by name runs it.
     """
-    chosen = []
-    for fx in FIXTURES:
-        if pattern is not None:
-            if fx.fixture_id != pattern and not fnmatch.fnmatch(fx.fixture_id, pattern):
-                continue
-            if fx.slow and not include_slow and fx.fixture_id != pattern:
-                continue
-        elif fx.slow and not include_slow:
-            continue
-        chosen.append(fx)
-    return chosen
+    return [
+        fx for fx in FIXTURES
+        if (pattern is None or fx.fixture_id == pattern or fnmatch.fnmatch(fx.fixture_id, pattern))
+        and (not fx.slow or include_slow or fx.fixture_id == pattern)
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -337,6 +337,24 @@ class TestVerifyPaper:
         report["seconds"] = printed["seconds"] = None
         assert json.loads(json.dumps(report)) == printed
 
+    ALL_IDS = [fx.fixture_id for fx in FIXTURES]
+    FAST_IDS = [fx.fixture_id for fx in FIXTURES if not fx.slow]
+
+    @pytest.mark.parametrize("pattern, include_slow, want", [
+        (None, False, FAST_IDS),
+        (None, True, ALL_IDS),
+        ("sqrt-*", False, ["sqrt-m5"]),  # a glob never reaches a slow fixture
+        ("sqrt-*", True, ["sqrt-m5", "sqrt-m7"]),
+        ("sqrt-m7", False, ["sqrt-m7"]),  # an exact id does
+        ("example?", False, ["example1"]),
+        ("example?", True, ["example1", "example2"]),
+        ("no-such-fixture", True, []),
+    ])
+    def test_select_fixtures(self, pattern, include_slow, want):
+        assert {"example2", "sqrt-m7"} <= set(self.ALL_IDS) - set(self.FAST_IDS)
+        got = select_fixtures(pattern, include_slow=include_slow)
+        assert [fx.fixture_id for fx in got] == want
+
     def test_glob_pattern_selection(self, capsys):
         rc = run_command(["verify-paper", "--fixture", "even-m*"])
         assert rc == 0

@@ -453,6 +453,23 @@ class TestDescribe:
             report = describe(z)
             assert report["dimension"] == assemble(z).dimension
 
+    def test_dual_facts_are_those_of_the_dual_set(self):
+        # Negating Z_n \ Z keeps its run length and moves only the start, so
+        # the start is what tells the dual from the un-negated complement.
+        sets = [z for m in (4, 6, 8) for z in _random_proper_sets(m, 30, seed=18)]
+        sets += [_set(15, ()), _set(15, (0,)), _set(15, range(1, 15))]
+        for z in sets:
+            dual = dual_defining_set(z)
+            n = z.n
+            # the zero code's vacuous run goes round the whole circle
+            run = (n + 1, 0) if len(dual) == n else bch_run(dual)
+            assert describe(z)["dual"] == {
+                "size": len(dual),
+                "dimension": n - len(dual),
+                "bch_lower_bound": run[0],
+                "bch_interval_start": run[1],
+            }, sorted(z.as_set())
+
     def test_keys_in_envelope_order(self):
         # dict equality ignores order; the JSON envelope does not
         report = describe(_set(15, EXAMPLE1_Z1))

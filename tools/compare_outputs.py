@@ -21,7 +21,8 @@ length 127, once with two threads, and on a [63,24] code with 64 threads
 asked for; the search also for enough iterations to span several reduction
 batches; the proof engine in JSON and human form, and on an [8191,14]
 code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
-``--all``, JSON and human), the ``--help`` text of the top-level,
+``--all``, JSON and human, a glob that skips a slow fixture and a slow
+fixture named by its exact id), the ``--help`` text of the top-level,
 ``analyze`` and ``verify-paper`` parsers and of all ten family parsers
 (``construct`` and ``export`` for each family), and the error cases with
 their exit codes.  A command that ends in ``SystemExit``
@@ -115,6 +116,8 @@ VERIFY = (
     ["verify-paper", "--fixture", "example1"],
     ["verify-paper", "--fixture", "weight-class-m9-*", "--json"],
     ["verify-paper", "--fixture", "no-such-fixture"],
+    ["verify-paper", "--fixture", "sqrt-*"],  # a glob skips the slow sqrt-m7
+    ["verify-paper", "--fixture", "example2", "--json"],  # an exact id runs a slow fixture
 )
 
 FAMILY_NAMES = ("even-m", "two-prime", "odd-pq", "sqrt", "weight-class")
