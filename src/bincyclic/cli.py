@@ -18,6 +18,7 @@ switches human-readable polynomial display to little-endian nibble hex.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -36,7 +37,7 @@ from .distance import (
     proven_min_distance,
 )
 from .fixtures import run_fixture, select_fixtures
-from .gf2 import MAX_FIELD_DEGREE, poly_to_bitstring, poly_to_hex
+from .gf2 import check_field_degree, poly_to_bitstring, poly_to_hex
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -239,23 +240,14 @@ def _emit_json(payload: dict, output: Optional[str] = None) -> None:
     is encoded and never held whole.  So a value that ``json`` cannot
     encode leaves a partial document on stdout, or a partial ``output``
     file in place of the old one."""
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            _json_parts(payload, "", fh.write)
-            fh.write("\n")
-    else:
-        _json_parts(payload, "", sys.stdout.write)
-        sys.stdout.write("\n")
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as out:
+        _json_parts(payload, "", out.write)
+        out.write("\n")
 
 
 def _read_elements(source: str) -> list[int]:
-    if source == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    tokens = raw.replace(",", " ").split()
-    return [int(tok) for tok in tokens]
+    with contextlib.nullcontext(sys.stdin) if source == "-" else open(source, encoding="utf-8") as fh:
+        return [int(tok) for tok in fh.read().replace(",", " ").split()]
 
 
 def _run_distance(code: CyclicCode, args):
@@ -322,8 +314,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not 2 <= args.m <= MAX_FIELD_DEGREE:
-        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {args.m}")
+    check_field_degree(args.m)
     zset = DefiningSet.from_elements(2**args.m - 1, _read_elements(args.elements))
     return _report(zset, None, args)
 

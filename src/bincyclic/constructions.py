@@ -169,7 +169,7 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     half_mask = (1 << t) - 1
 
     vec = np.arange(size, dtype=np.int64)
-    w = np.bitwise_count(vec.astype(np.uint64)).astype(np.int16)
+    w = np.bitwise_count(vec)
     lo = vec & half_mask
     hi = vec >> t
     halves_equal = lo == hi
@@ -530,12 +530,12 @@ def build_weight_class(m: int, i: int):
     b0_leaders = tuple(int(v) for v in np.unique(table.leader_of[b0_mask]))
     b_all_mask = negated_mask(a_mask)
 
+    # m is odd, so m % 4 is 1 or 3: (i, m % 4) falls in one of two cases.
     first_tu = (i == 0 and m % 4 == 3) or (i == 1 and m % 4 == 1)
     t_val = (2**half - 1) if first_tu else (2 ** (half + 1) - 1)
     u_val = (2 ** (half + 1) - 3) if first_tu else (3 * 2**half - 1)
-    first_sv = (i == 0 and m % 4 == 1) or (i == 1 and m % 4 == 3)
-    s_val = (2 ** (half + 2) - 9) if first_sv else (2 ** (half + 2) - 11)
-    v_val = (2 ** (half + 2) - 15) if first_sv else (2 ** (half + 2) - 13)
+    s_val = (2 ** (half + 2) - 11) if first_tu else (2 ** (half + 2) - 9)
+    v_val = (2 ** (half + 2) - 13) if first_tu else (2 ** (half + 2) - 15)
     # The case values are coset representatives, not always leaders.
     lead = lambda x: int(table.leader_of[x])
 

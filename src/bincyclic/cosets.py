@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import MAX_FIELD_DEGREE, InvariantError, _prime_factors
+from .gf2 import InvariantError, _prime_factors, check_field_degree
 
 BitVector = tuple[int, ...]
 
@@ -97,8 +97,7 @@ def negated_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def build_table(m: int) -> CosetTable:
-    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
-        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+    check_field_degree(m)
     n = (1 << m) - 1
     lead = np.arange(n, dtype=np.uint32)
     orbit_minima(lead, m)
@@ -192,11 +191,10 @@ def weight_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
     (mod 2).  The two are disjoint, cover Z_n minus {0}, and each is
     doubling-closed (doubling rotates the bit vector, preserving weight).
     """
-    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
-        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+    check_field_degree(m)
     n = (1 << m) - 1
     residues = np.arange(n, dtype=np.uint32)
-    parity = np.bitwise_count(residues).astype(np.int8) & 1
+    parity = np.bitwise_count(residues) & 1
     mask0 = (parity == 0) & (residues > 0)
     mask1 = parity == 1
     for arr in (mask0, mask1):

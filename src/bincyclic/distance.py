@@ -13,8 +13,8 @@ Three engines share one result type:
   cyclically consecutive positions form an information set, so every
   weight-d word has a cyclic shift of information weight at most
   floor(d*k/n); the enumeration stops as soon as that bound closes.
-  Exact, with a :class:`DistanceCertificate` that
-  :func:`verify_distance_certificate` re-checks cheaply.
+  Exact, with a certificate that :func:`verify_distance_certificate`
+  re-checks cheaply.
 * :func:`low_weight_search` repeatedly reduces the shift matrix of g on
   a random information set and scores all messages of weight <= depth.
   The reductions run in numpy on batches of iterations at once, each
@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -63,19 +64,6 @@ class SearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DistanceCertificate:
-    """What an information-weight run proved, in re-checkable form.
-
-    Every systematic message of information weight <= ``enumerated_weight``
-    was scored, and ``inequality`` shows that this weight reaches
-    floor((d - 1)*k/n), so no word lighter than the witness was missed.
-    """
-
-    enumerated_weight: int
-    inequality: str
-
-
-@dataclass(frozen=True)
 class DistanceResult:
     """Outcome of a distance computation.
 
@@ -84,7 +72,11 @@ class DistanceResult:
     bound) together with ``proven_lower_bound`` (the run bound).
     ``witness`` is a codeword of weight ``best_weight_found``, bit-packed
     little-endian.
-    ``certificate`` is set by the information-weight engine only.
+    ``certificate`` is set by the information-weight engine only: a
+    namespace whose ``vars`` are the ``certificate`` object of the JSON.
+    Every systematic message of information weight <= ``enumerated_weight``
+    was scored, and ``inequality`` shows that this weight reaches
+    floor((d - 1)*k/n), so no word lighter than the witness was missed.
     """
 
     method: str
@@ -94,7 +86,7 @@ class DistanceResult:
     witness: int
     iterations: int
     seed: Optional[int]
-    certificate: Optional[DistanceCertificate] = None
+    certificate: Optional[SimpleNamespace] = None
 
     def as_dict(self) -> dict:
         out = {
@@ -108,7 +100,7 @@ class DistanceResult:
             "seed": self.seed,
         }
         if self.certificate is not None:
-            out["certificate"] = asdict(self.certificate)
+            out["certificate"] = vars(self.certificate)
         return out
 
 
@@ -121,6 +113,14 @@ def _check_witness(code: CyclicCode, weight: int, witness: int) -> None:
         raise InvariantError(f"witness weight {witness.bit_count()} must equal {weight}")
     if poly_divrem(witness, code.generator)[1] != 0:
         raise InvariantError("witness must be divisible by the generator")
+
+
+def _proved(code: CyclicCode, method: str, weight: int, witness: int, iterations: int,
+            certificate: Optional[SimpleNamespace] = None) -> DistanceResult:
+    """The result of an exact engine: ``weight`` is the distance, once
+    ``witness`` checks out as a codeword of that weight."""
+    _check_witness(code, weight, witness)
+    return DistanceResult(method, weight, weight, weight, witness, iterations, None, certificate)
 
 
 def _to_lanes(words, lanes: int) -> np.ndarray:
@@ -253,17 +253,7 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
     scored = sum(s for _, _, s in results)
     if scored != (1 << k) - 1:
         raise InvariantError(f"scored {scored} messages, expected 2^{k} - 1")
-    _check_witness(code, best_w, best_wit)
-
-    return DistanceResult(
-        method="exhaustive",
-        best_weight_found=best_w,
-        exact_distance=best_w,
-        proven_lower_bound=best_w,
-        witness=best_wit,
-        iterations=scored,
-        seed=None,
-    )
+    return _proved(code, "exhaustive", best_w, best_wit, scored)
 
 
 def _systematic_parity(code: CyclicCode) -> np.ndarray:
@@ -400,17 +390,9 @@ def proven_min_distance(code: CyclicCode) -> DistanceResult:
 
     if scored != _combinations_through(k, w_done):
         raise InvariantError(f"scored {scored} combinations, expected all of weight <= {w_done}")
-    _check_witness(code, best_w, best_wit)
-    return DistanceResult(
-        method="information-weight",
-        best_weight_found=best_w,
-        exact_distance=best_w,
-        proven_lower_bound=best_w,
-        witness=best_wit,
-        iterations=scored,
-        seed=None,
-        certificate=DistanceCertificate(w_done, _closing_inequality(n, k, best_w, w_done)),
-    )
+    certificate = SimpleNamespace(enumerated_weight=w_done,
+                                  inequality=_closing_inequality(n, k, best_w, w_done))
+    return _proved(code, "information-weight", best_w, best_wit, scored, certificate)
 
 
 def verify_distance_certificate(code: CyclicCode, result: DistanceResult) -> None:

@@ -25,6 +25,13 @@ BinaryPolynomial = int
 
 MAX_FIELD_DEGREE = 24
 
+
+def check_field_degree(m: int) -> None:
+    """Raise ``ValueError`` unless ``m`` is an int in [2, MAX_FIELD_DEGREE]."""
+    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
+        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+
+
 #: Elements per temporary block in :meth:`FieldContext.eval_at_powers`
 #: (128 KiB of int64 exponents), so evaluation adds little to peak memory.
 EVAL_BLOCK = 1 << 14
@@ -246,8 +253,7 @@ def make_field(m: int) -> FieldContext:
     The four most recently used fields are cached, so repeated calls with
     the same ``m`` return the same read-only context.
     """
-    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
-        raise ValueError(f"extension degree must satisfy 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+    check_field_degree(m)
     return _build_field(m)
 
 

@@ -3,6 +3,7 @@ must not show, through ``python -m bincyclic.cli``)."""
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -19,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bincyclic
-from bincyclic import cli
+from bincyclic import cli, fixtures
 from bincyclic.cli import _build_parser, _emit_json, run_command
 from bincyclic.codecore import assemble, describe
 from bincyclic.constructions import FAMILIES, DefiningSet, build_even_m
+from bincyclic.distance import proven_min_distance
 from bincyclic.fixtures import EXAMPLE1_Z2, FIXTURES, SQRT_M5_Z, run_fixture, select_fixtures
 from bincyclic.gf2 import FieldContext, make_field, poly_to_hex
 
@@ -251,6 +253,21 @@ class TestAnalyze:
         assert payload["distance"]["seed"] == 9
         assert payload["distance"]["iterations"] == 50
 
+    def test_search_lines_are_the_json_values(self, capsys, monkeypatch):
+        argv = ["analyze", "--m", "5", "--engine", "search", "--seed", "3", "--iters", "20"]
+        residues = ",".join(map(str, SQRT_M5_Z))
+        monkeypatch.setattr("sys.stdin", io.StringIO(residues))
+        assert run_command(argv + ["--json"]) == 0
+        dist = json.loads(capsys.readouterr().out)["distance"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(residues))
+        assert run_command(argv) == 0
+        out = capsys.readouterr().out
+        assert dist["exact_distance"] is None and "exact distance" not in out
+        assert f"best weight found: {dist['best_weight_found']}\n" in out
+        assert f"proven bound     : {dist['proven_lower_bound']}\n" in out
+        assert f"search budget    : seed {dist['seed']}, {dist['iterations']} iterations\n" in out
+        assert (dist["seed"], dist["iterations"]) == (3, 20)
+
     def test_proof_engine_ignores_budget_and_threads(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, SQRT_M5_Z))))
         rc = run_command(
@@ -272,6 +289,13 @@ class TestAnalyze:
         assert "distance engine  : information-weight" in out
         assert "exact distance   : 3" in out
         assert "certificate      : floor((3-1)*11/15) = 1 <= 1" in out
+
+    def test_proof_certificate_is_the_json_object(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, SQRT_M5_Z))))
+        assert run_command(["analyze", "--m", "5", "--engine", "proof", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["distance"]["certificate"]
+        code = assemble(DefiningSet.from_elements(31, SQRT_M5_Z))
+        assert vars(proven_min_distance(code).certificate) == printed
 
 
 class TestVerifyPaper:
@@ -354,6 +378,27 @@ class TestVerifyPaper:
         assert {"example2", "sqrt-m7"} <= set(self.ALL_IDS) - set(self.FAST_IDS)
         got = select_fixtures(pattern, include_slow=include_slow)
         assert [fx.fixture_id for fx in got] == want
+
+    def test_search_weight_rows(self, monkeypatch):
+        [fx] = select_fixtures("sqrt-m5")
+        want = {"C": 7, "C-dual": 8}
+        codes = tuple(dataclasses.replace(exp, search_weight=want[exp.label]) for exp in fx.codes)
+        monkeypatch.setattr(fixtures, "SEARCH_RUN", (1, 20, 2))
+        report = run_fixture(dataclasses.replace(fx, codes=codes))
+        assert report.ok
+        assert [row for row in report.rows if row["field"].startswith("search_weight")] == [
+            {"code": label, "field": "search_weight (seed 1, 20 iters, depth 2)",
+             "expected": weight, "actual": weight, "ok": True}
+            for label, weight in want.items()
+        ]
+
+    @pytest.mark.parametrize("values, text", [
+        ((3, 1, 2), "1..3"),
+        ((9, 1, 5), "{1,5,9}"),
+        (tuple(range(18, -1, -2)), "{0,2,...,18} (10 residues)"),
+    ])
+    def test_span_forms(self, values, text):
+        assert fixtures._span(values) == text
 
     def test_glob_pattern_selection(self, capsys):
         rc = run_command(["verify-paper", "--fixture", "even-m*"])

@@ -23,6 +23,7 @@ from bincyclic.cosets import (
     rho,
     weight_classes,
 )
+from bincyclic.gf2 import make_field
 
 # Complete coset decomposition of Z_63, worked out by hand once and frozen.
 M6_COSETS = {
@@ -308,6 +309,13 @@ class TestWeightClasses:
     def test_degree_outside_the_field_range(self, m):
         with pytest.raises(ValueError, match="2 <= m <= 24"):
             weight_classes(m)
+
+    @pytest.mark.parametrize("m", [1, 25, 2.0, True, [5]])
+    def test_one_degree_check_for_field_table_and_classes(self, m):
+        for build in (make_field, build_table, weight_classes):
+            with pytest.raises(ValueError) as err:
+                build(m)
+            assert str(err.value) == f"need 2 <= m <= 24, got {m}"
 
     def test_parity_semantics(self):
         masks = weight_classes(6)

@@ -34,7 +34,6 @@ from bincyclic.constructions import (
 from bincyclic.cosets import build_table
 from bincyclic.distance import (
     BudgetExceeded,
-    DistanceCertificate,
     SearchError,
     _lanes_to_int,
     _popcount,
@@ -824,22 +823,24 @@ class TestCertificateCheck:
             (lambda r: {"proven_lower_bound": r.proven_lower_bound + 1}, "not proved"),
             (lambda r: {"exact_distance": None}, "not proved"),
             (
-                lambda r: {"certificate": dataclasses.replace(r.certificate, enumerated_weight=2)},
+                lambda r: {"certificate": SimpleNamespace(**{**vars(r.certificate),
+                                                             "enumerated_weight": 2})},
                 "does not close",
             ),
             (
-                lambda r: {"certificate": dataclasses.replace(r.certificate, inequality="7 <= d")},
+                lambda r: {"certificate": SimpleNamespace(**{**vars(r.certificate),
+                                                             "inequality": "7 <= d"})},
                 "does not close",
             ),
             # a short pass that states its own shortfall
             (
-                lambda r: {
-                    "certificate": DistanceCertificate(2, "floor((7-1)*16/31) = 3 <= 2")
-                },
+                lambda r: {"certificate": SimpleNamespace(
+                    enumerated_weight=2, inequality="floor((7-1)*16/31) = 3 <= 2")},
                 "does not close",
             ),
             (
-                lambda r: {"certificate": dataclasses.replace(r.certificate, enumerated_weight=99)},
+                lambda r: {"certificate": SimpleNamespace(**{**vars(r.certificate),
+                                                             "enumerated_weight": 99})},
                 "outside",
             ),
         ],

@@ -16,7 +16,8 @@ The list covers ``construct --json`` and ``export`` for every family at
 several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
 and ``--i``) and ``--elements-only`` at m = 20, ``analyze`` and ``export``
-with each distance engine (the exhaustive sweep also on two-lane codes of
+with each distance engine (``analyze -`` reading its residues from stdin,
+in human and JSON form; the exhaustive sweep also on two-lane codes of
 length 127, once with two threads, and on a [63,24] code with 64 threads
 asked for; the search also for enough iterations to span several reduction
 batches; the proof engine in JSON and human form, and on an [8191,14]
@@ -29,7 +30,7 @@ their exit codes.  A command that ends in ``SystemExit``
 (``--help``) is recorded with the exit code it carried, and one that
 raises any other exception as ``raised`` and the exception's type, so the
 rest are still recorded; help text is wrapped at ``COLUMNS=80`` whatever
-the terminal.
+the terminal.  Every command reads ``STDIN`` on its standard input.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 #: Marks the path of a scratch file in a command's argv.
 SCRATCH = "{scratch}"
@@ -73,6 +75,8 @@ LARGE = (
 
 #: The cosets of 1 and 3 mod 15 (a [15,7,5] code), for ``analyze``.
 M4_RESIDUES = "1 2 3 4 6 8 9 12"
+#: The standard input of every command: the same residues, comma-separated.
+STDIN = ",".join(M4_RESIDUES.split())
 
 
 def _residues_outside(m: int, outside: tuple[int, ...]) -> str:
@@ -88,6 +92,8 @@ ENGINE_RUNS = (
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--json"],
     ["analyze", SCRATCH + "/m4.txt", "--m", "4"],
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--hex", "--engine", "exhaustive"],
+    ["analyze", "-", "--m", "4"],
+    ["analyze", "-", "--m", "4", "--json"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--json", "--engine", "proof"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "proof"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "search", "--seed", "3", "--iters", "40"],
@@ -178,7 +184,8 @@ def _mask(text: str) -> str:
 
 def _run(run_command, argv: list[str]) -> tuple[int | str, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch("sys.stdin", io.StringIO(STDIN)), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         try:
             code = run_command(argv)
         except SystemExit as exc:  # argparse's --help
