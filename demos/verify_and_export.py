@@ -39,7 +39,8 @@ def main():
         "audit": vars(audit),
     }
     print("\nexport payload for the m=5 block construction:")
-    print(json.dumps(payload, indent=2)[:400], "...")
+    # describe gives the defining set as its int64 array; json takes its list
+    print(json.dumps(payload, indent=2, default=lambda array: array.tolist())[:400], "...")
 
 
 if __name__ == "__main__":

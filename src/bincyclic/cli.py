@@ -20,10 +20,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .codecore import CyclicCode, InvariantError, assemble, describe
 from .constructions import FAMILIES, DefiningSet, build_family
@@ -172,17 +175,80 @@ def _print_distance(result) -> None:
         print(f"certificate      : {d['certificate']['inequality']}")
 
 
-#: Most items of one list that ``_json_parts`` encodes in one piece.
+#: Most items of one list or array that ``_json_parts`` encodes in one piece.
 _CHUNK = 2**15
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The decimal text of 0..9999 as uint32 words of four ASCII bytes,
+    with NUL bytes where no digit is written.  Word 0 is empty, word
+    1 + r is r without leading zeros (NUL NUL NUL "7") and word 10_001 + r
+    is r in four digits ("0007").  Built on first use: a process that
+    writes no array leaves numpy's first-use memory of these steps
+    (about 0.4 MB of peak RSS) unspent."""
+    r = np.arange(10_000, dtype=np.uint16)
+    words = np.zeros((20_001, 4), dtype=np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        digit = (r // place % 10 + ord("0")).astype(np.uint8)
+        words[10_001:, j] = digit
+        words[1:10_001, j] = digit * (r >= place)  # the digits from r's top one down
+    words[1, 3] = ord("0")  # 0 is written "0"
+    return words.view(np.uint32).ravel()
+
+
+_MINUS_WORD = np.frombuffer(b"\0\0\0-", dtype=np.uint32)[0]
+
+
+def _joined_ints(values: np.ndarray, sep: str) -> str:
+    """``sep.join(map(str, values.tolist()))`` for a non-empty int64 array,
+    written with numpy.
+
+    Each value becomes one row of uint32 words: a sign word if any value is
+    negative, one :func:`_digit_words` word per base-10^4 group of its
+    magnitude, and ``sep`` padded with NUL bytes to whole words.  The
+    digits a value does not have are NUL bytes too, so one boolean
+    compress of the rows' bytes leaves the text.  ``sep`` is ASCII without
+    NUL.
+    """
+    negative = values < 0
+    magnitude = values.view(np.uint64).copy()
+    np.negative(magnitude, out=magnitude, where=negative)  # 2^63 fits in uint64
+    top = int(magnitude.max())
+    groups = 1
+    while top >= 10_000**groups:
+        groups += 1
+    sign = int(negative.any())
+    sep_bytes = sep.encode("ascii")
+    sep_words = np.frombuffer(sep_bytes + bytes(-len(sep_bytes) % 4), dtype=np.uint32)
+    rows = np.empty((len(values), sign + groups + len(sep_words)), dtype=np.uint32)
+    if sign:
+        rows[:, 0] = negative * _MINUS_WORD
+    for k in range(groups):  # the k-th group from the right
+        higher, group = np.divmod(magnitude, 10_000)
+        word = group + 1
+        word += (higher > 0) * np.uint64(10_000)  # four digits below a higher group
+        if k:
+            word *= magnitude > 0  # no digits above a value's top group
+        rows[:, sign + groups - 1 - k] = _digit_words()[word]
+        magnitude = higher
+    for j, sep_word in enumerate(sep_words):
+        rows[:, sign + groups + j] = sep_word
+    text = rows.view(np.uint8).ravel()
+    text = text[text != 0]
+    return text[:text.size - len(sep_bytes)].tobytes().decode("ascii")
 
 
 def _json_parts(value, pad: str, write) -> None:
     """Write, in pieces and as it is encoded, the text that ``json.dumps``
     gives for ``value`` with a 2-space indent, nested at indent ``pad``.
+    A one-dimensional int64 ndarray is written as the list of its values;
+    any other ndarray is refused with ``TypeError``, as ``json`` refuses it.
 
     An indent makes CPython fall back to its pure-Python encoder, which
-    takes seconds on a defining set of 2M residues.  A list or tuple is
-    taken in chunks of at most ``_CHUNK`` items.  A chunk of plain ints
+    takes seconds on a defining set of 2M residues.  A list, tuple or int64
+    array is taken in chunks of at most ``_CHUNK`` items.  A chunk of an
+    array is written by :func:`_joined_ints`.  A list chunk of plain ints
     (not bools), or of non-empty lists or tuples of plain ints, is rendered
     flat by the C encoder and re-indented as text, which is exact because
     the text of an int never holds ", ".  Any other chunk is laid out item
@@ -191,9 +257,10 @@ def _json_parts(value, pad: str, write) -> None:
 
     Text goes to ``write`` as soon as it is encoded, so a value that
     ``json`` cannot encode fails after part of the document is out; the
-    CLI's payloads hold plain values by construction.
+    CLI's payloads hold plain values and int64 arrays by construction.
     """
     inner = pad + "  "
+    vector = isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 1
     if isinstance(value, dict) and value:
         write("{")
         for i, (key, item) in enumerate(value.items()):
@@ -202,20 +269,23 @@ def _json_parts(value, pad: str, write) -> None:
             write((",\n" if i else "\n") + inner + label + ": ")
             _json_parts(item, inner, write)
         write("\n" + pad + "}")
-    elif isinstance(value, (list, tuple)) and value:
+    elif (vector or isinstance(value, (list, tuple))) and len(value):
         write("[")
         for start in range(0, len(value), _CHUNK):
             _json_chunk(value[start:start + _CHUNK], start, inner, write)
         write("\n" + pad + "]")
     else:
-        write(json.dumps(value))
+        write(json.dumps([] if vector else value))
 
 
 def _json_chunk(chunk, start: int, inner: str, write) -> None:
-    """Write the items of one list chunk, the first of them item
+    """Write the items of one list or array chunk, the first of them item
     ``start`` of its list, each on its own line at indent ``inner``."""
-    kinds = set(map(type, chunk))
     lead = (",\n" if start else "\n") + inner
+    if isinstance(chunk, np.ndarray):
+        write(lead + _joined_ints(chunk, ",\n" + inner))
+        return
+    kinds = set(map(type, chunk))
     if kinds == {int}:
         write(lead)
         write(json.dumps(chunk)[1:-1].replace(", ", ",\n" + inner))
@@ -308,7 +378,7 @@ def _cmd_family(args) -> int:
     if args.elements_only:
         elements = zset.elements
         for start in range(0, len(elements), _CHUNK):
-            sys.stdout.write("\n".join(map(str, elements[start:start + _CHUNK].tolist())) + "\n")
+            sys.stdout.write(_joined_ints(elements[start:start + _CHUNK], "\n") + "\n")
         return EXIT_OK
     return _report(zset, audit, args)
 

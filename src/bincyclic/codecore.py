@@ -186,7 +186,8 @@ def bch_lower_bound(zset: DefiningSet) -> int:
 
 def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
     """The distance-free facts about a defining set and its dual's run
-    bound, as the ``code`` object of the JSON envelope."""
+    bound, as the ``code`` object of the JSON envelope.  ``defining_set``
+    is the set's own read-only int64 ``elements`` array, not a copy."""
     n = zset.n
     delta, start = bch_run(zset)
     dual_set = dual_defining_set(zset)
@@ -197,14 +198,11 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
         dual_delta, dual_start = n + 1, 0
     else:
         dual_delta, dual_start = bch_run(dual_set)
-    # freed before the residue list is built, so that list is the only
-    # whole-set object alive at its peak
-    del dual_set
     return {
         "n": n,
         "m": (n + 1).bit_length() - 1,
         "construction": dict(zset.origin),
-        "defining_set": zset.elements.tolist(),
+        "defining_set": zset.elements,
         "dimension": n - len(zset),
         "generator_bits": None if generator is None else poly_to_bitstring(generator),
         "bch_lower_bound": delta,

@@ -15,9 +15,11 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import bincyclic
 from bincyclic import cli, fixtures
@@ -54,6 +56,12 @@ AUDIT_KEYS = {
     "weight-class": ["construction", "m", "i", "block_top", "t", "u", "s", "v", "a_leaders",
                      "b0_leaders", "intersection_leaders", "excluded_top"],
 }
+
+
+def _listed(report: dict) -> dict:
+    """``describe``'s dict as JSON reads it back: the defining set's int64
+    array as a list."""
+    return {**report, "defining_set": report["defining_set"].tolist()}
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -119,7 +127,7 @@ class TestConstruct:
         run_command(["construct", "even-m", "--m", "6", "--which", "C1", "--json"])
         payload = json.loads(capsys.readouterr().out)
         z1, _, audit = build_even_m(6)
-        assert payload["code"] == describe(z1)
+        assert payload["code"] == _listed(describe(z1))
         assert payload["audit"] == json.loads(json.dumps(vars(audit)))
 
     @pytest.mark.parametrize("family", list(SMALL_FAMILY_CASES))
@@ -131,7 +139,7 @@ class TestConstruct:
             assert run_command(["construct", family, *argv, *which, "--json"]) == 0
             printed = capsys.readouterr().out
             payload = json.loads(printed)
-            assert payload["code"] == describe(zset)
+            assert payload["code"] == _listed(describe(zset))
             assert payload["audit"] == json.loads(json.dumps(vars(audit)))
             assert list(payload["audit"]) == AUDIT_KEYS[family]
             # export with its default engine writes the same envelope, byte for byte
@@ -525,11 +533,35 @@ _PAYLOADS = st.recursive(
     max_leaves=20,
 )
 
+# int64 arrays, the form of a defining set, nested as lists are
+_INT64_ARRAYS = arrays(np.int64, st.integers(min_value=0, max_value=12))
+_ARRAY_PAYLOADS = st.recursive(
+    _INT64_ARRAYS | _JSON_SCALARS | _INT_LISTS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=10,
+)
+# every int64 value on each side of a power of ten, and the type's ends
+_INT64_EDGES = np.array(
+    sorted({s * v for k in range(19) for v in (10**k - 1, 10**k) for s in (1, -1)}
+           | {-(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2}),
+    dtype=np.int64,
+)
+
+
+def _array_as_list(array: np.ndarray) -> list:
+    """``json.dumps``'s ``default`` for the int64 arrays that ``_emit_json``
+    writes as lists."""
+    return array.tolist()
+
 
 def _assert_emits_indented_json(payload, to_file: bool = True) -> None:
     """``_emit_json`` writes exactly ``json.dumps(payload, indent=2)`` and a
-    newline, to stdout and (with ``to_file``) to an ``--output`` file."""
-    want = json.dumps(payload, indent=2) + "\n"
+    newline, to stdout and (with ``to_file``) to an ``--output`` file; an
+    int64 array is written as its list."""
+    want = json.dumps(payload, indent=2, default=_array_as_list) + "\n"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit_json(payload)
@@ -576,20 +608,65 @@ class TestEmitJson:
             items[-1] = last
         _assert_emits_indented_json({"items": items, "after": [items[-2:], 1]}, to_file=False)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(payload=_ARRAY_PAYLOADS)
+    def test_int64_arrays_in_small_chunks(self, chunk, payload):
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            _assert_emits_indented_json(payload, to_file=False)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_int64_array_at_the_chunk_boundary(self, offset):
+        values = np.resize(_INT64_EDGES, cli._CHUNK + offset)
+        _assert_emits_indented_json({"items": values, "after": [values[-2:], 1]}, to_file=False)
+
+    def test_every_digit_count_and_sign(self):
+        for values in (_INT64_EDGES, _INT64_EDGES[::-1], _INT64_EDGES[_INT64_EDGES >= 0]):
+            _assert_emits_indented_json({"code": {"defining_set": values}}, to_file=False)
+            assert cli._joined_ints(values, "\n") == "\n".join(map(str, values.tolist()))
+
+    def test_empty_int64_array_is_an_empty_list(self):
+        empty = np.array([], dtype=np.int64)
+        _assert_emits_indented_json({"defining_set": empty, "rows": [empty, [empty]]})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit_json({"defining_set": empty})
+        assert out.getvalue() == '{\n  "defining_set": []\n}\n'
+
+    @pytest.mark.parametrize("array", [
+        np.arange(3, dtype=np.int32), np.arange(3, dtype=np.uint64), np.arange(3.0),
+        np.array([True]), np.arange(4, dtype=np.int64).reshape(2, 2), np.array(5, dtype=np.int64),
+        np.arange(3, dtype=">i8" if sys.byteorder == "little" else "<i8"),
+        np.array([], dtype=np.int32),
+    ], ids=["int32", "uint64", "float64", "bool", "2-d", "0-d", "swapped-int64", "empty-int32"])
+    def test_other_arrays_are_refused_as_json_refuses_them(self, array):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps({"values": array}, indent=2)
+        with pytest.raises(TypeError, match="not JSON serializable"), \
+                contextlib.redirect_stdout(_Discard()):
+            _emit_json({"values": array})
+
     def test_memory_is_bounded_by_one_chunk(self):
         # 2^20 ints and 2^17 int pairs make 10 MB and 4 MB of indented text;
         # holding the document whole (about 33 MB with its flat copies)
         # fails the bound, one chunk's encoding and re-indenting (about
-        # 3 MB for 2^15 pairs) passes it
-        payload = {"ints": list(range(2**20)), "pairs": [[i, i + 1] for i in range(2**17)]}
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(_Discard()):
-                _emit_json(payload)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB while writing"
+        # 3 MB for 2^15 pairs) passes it.  2^21 int64 residues mod 2^22 - 1
+        # make 29 MB of indented text; writing them one chunk of rows, mask
+        # and text at a time peaks at about 3 MB.
+        payloads = (
+            lambda: {"ints": list(range(2**20)), "pairs": [[i, i + 1] for i in range(2**17)]},
+            lambda: {"code": {"defining_set": 2 * np.arange(2**21, dtype=np.int64)}},
+        )
+        for make_payload in payloads:
+            payload = make_payload()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(_Discard()):
+                    _emit_json(payload)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB while writing {list(payload)}"
 
 
 def _help_options(argv: list[str], capsys) -> set[str]:

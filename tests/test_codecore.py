@@ -442,11 +442,18 @@ class TestDescribe:
     def test_as_dict_round_trips_through_json(self):
         z, _, _ = build_even_m(6)
         report = describe(z, generator=assemble(z).generator)
-        blob = json.dumps(report)
-        back = json.loads(blob)
-        assert back == report
+        listed = {**report, "defining_set": report["defining_set"].tolist()}
+        back = json.loads(json.dumps(listed))
+        assert back == listed
         assert back["defining_set"] == sorted(z.as_set())
         assert back["dual"]["size"] == len(dual_defining_set(z))
+
+    def test_defining_set_is_the_sets_own_array(self):
+        z, _, _ = build_even_m(6)
+        report = describe(z)
+        assert report["defining_set"] is z.elements
+        assert report["defining_set"].dtype == np.int64
+        assert not report["defining_set"].flags.writeable
 
     def test_describe_matches_assembled_code(self):
         for z in _random_proper_sets(5, 6, seed=31):

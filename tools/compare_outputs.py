@@ -15,13 +15,14 @@ record any revision.
 The list covers ``construct --json`` and ``export`` for every family at
 several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
-and ``--i``) and ``--elements-only`` at m = 20, ``analyze`` and ``export``
-with each distance engine (``analyze -`` reading its residues from stdin,
-in human and JSON form; the exhaustive sweep also on two-lane codes of
-length 127, once with two threads, and on a [63,24] code with 64 threads
-asked for; the search also for enough iterations to span several reduction
-batches; the proof engine in JSON and human form, and on an [8191,14]
-code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
+and ``--i``), ``--elements-only`` at m = 20 and the m = 22 ``export``
+written to an ``--output`` file, ``analyze`` and ``export`` with each
+distance engine (``analyze -`` reading its residues from stdin, in human
+and JSON form; the exhaustive sweep also on the empty set, on two-lane
+codes of length 127, once with two threads, and on a [63,24] code with 64
+threads asked for; the search also for enough iterations to span several
+reduction batches; the proof engine in JSON and human form, and on an
+[8191,14] code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
 ``--all``, JSON and human, a glob that skips a slow fixture and a slow
 fixture named by its exact id), the ``--help`` text of the top-level,
 ``analyze`` and ``verify-paper`` parsers and of all ten family parsers
@@ -71,6 +72,8 @@ LARGE = (
     ["export", "weight-class", "--m", "17", "--i", "1"],
     # 524,286 residues: many chunks of the line writer
     ["construct", "even-m", "--m", "20", "--which", "C1", "--elements-only"],
+    # the m = 22 set through the file writer
+    ["export", "two-prime", "--p", "11", "--output", SCRATCH + "/tp11.json"],
 )
 
 #: The cosets of 1 and 3 mod 15 (a [15,7,5] code), for ``analyze``.
@@ -94,6 +97,8 @@ ENGINE_RUNS = (
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--hex", "--engine", "exhaustive"],
     ["analyze", "-", "--m", "4"],
     ["analyze", "-", "--m", "4", "--json"],
+    # the empty set: its defining set is written as []
+    ["analyze", SCRATCH + "/empty.txt", "--m", "4", "--engine", "exhaustive", "--json"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--json", "--engine", "proof"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "proof"],
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "search", "--seed", "3", "--iters", "40"],
@@ -198,11 +203,12 @@ def _run(run_command, argv: list[str]) -> tuple[int | str, str, str]:
 def record(outdir: Path, run_command) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        # analyze reads residues from files: the [15,7] code, two-prime p = 3's [63,32],
-        # a [63,24] code, two codes of length 127, one of length 8191 and one residue
-        # past int64
+        # analyze reads residues from files: the [15,7] code, the empty set, two-prime
+        # p = 3's [63,32], a [63,24] code, two codes of length 127, one of length 8191
+        # and one residue past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
+        Path(scratch, "empty.txt").write_text("", encoding="utf-8")
         Path(scratch, "p3.txt").write_text(p3_residues, encoding="utf-8")
         Path(scratch, "m6k24.txt").write_text(_residues_outside(6, (1, 3, 5, 7)), encoding="utf-8")
         Path(scratch, "m7k15.txt").write_text(_residues_outside(7, (0, 1, 5)), encoding="utf-8")
