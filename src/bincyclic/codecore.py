@@ -165,12 +165,18 @@ def bch_run(zset: DefiningSet) -> tuple[int, Optional[int]]:
         return 1, None
     if len(zset) == n:
         raise DegenerateCodeError("defining set is all of Z_n")
-    gaps = np.flatnonzero(~zset.mask())
+    return _run_between(np.flatnonzero(~zset.mask()), n)
+
+
+def _run_between(gaps: np.ndarray, n: int) -> tuple[int, int]:
+    """``bch_run`` of the set whose complement in Z_n is ``gaps``: an
+    ascending int64 array, neither empty nor all of Z_n."""
     # The run after gap i ends at gap i + 1; the run after the last gap
     # wraps past n - 1 to the first gap.
-    lengths = np.empty(len(gaps), dtype=np.int64)
-    np.subtract(gaps[1:], gaps[:-1] + 1, out=lengths[:-1])
-    lengths[-1] = n - 1 - gaps[-1] + gaps[0]
+    lengths = np.empty_like(gaps)
+    np.subtract(gaps[1:], gaps[:-1], out=lengths[:-1])
+    lengths[-1] = n + gaps[0] - gaps[-1]
+    lengths -= 1
     best_len = int(lengths.max())
     if not 1 <= best_len < n:
         raise InvariantError(f"run length {best_len} outside [1, {n})")
@@ -187,17 +193,26 @@ def bch_lower_bound(zset: DefiningSet) -> int:
 def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
     """The distance-free facts about a defining set and its dual's run
     bound, as the ``code`` object of the JSON envelope.  ``defining_set``
-    is the set's own read-only int64 ``elements`` array, not a copy."""
+    is the set's own read-only int64 ``elements`` array, not a copy.
+
+    The dual set -(Z_n \\ Z) is not built: it has n - |Z| residues, and its
+    complement is -Z, so its run bound is read from -Z, which is Z's
+    elements negated in reverse order (0 first when 0 is in Z).
+    """
     n = zset.n
     delta, start = bch_run(zset)
-    dual_set = dual_defining_set(zset)
-    dual_size = len(dual_set)
-    if dual_size == n:
-        # Z was empty: the dual is the zero code, whose "distance" is the
-        # vacuous n + 1 (one run covering the whole circle).
+    dual_size = n - len(zset)
+    if len(zset) == 0:
+        # the dual is the zero code, whose "distance" is the vacuous n + 1
+        # (one run covering the whole circle)
         dual_delta, dual_start = n + 1, 0
     else:
-        dual_delta, dual_start = bch_run(dual_set)
+        elements = zset.elements
+        has_zero = int(elements[0] == 0)
+        dual_gaps = np.empty_like(elements)
+        dual_gaps[:has_zero] = 0
+        np.subtract(n, elements[has_zero:][::-1], out=dual_gaps[has_zero:])
+        dual_delta, dual_start = _run_between(dual_gaps, n)
     return {
         "n": n,
         "m": (n + 1).bit_length() - 1,

@@ -65,11 +65,16 @@ class DefiningSet:
     def from_mask(
         cls, n: int, mask: np.ndarray, origin: Mapping[str, object] | None = None
     ) -> "DefiningSet":
+        if n % 2 == 0:
+            raise ValueError(f"modulus must be odd, got {n}")
         if np.shape(mask) != (n,):
             raise ValueError(f"mask of shape {np.shape(mask)} does not cover Z_{n}")
-        elements = np.flatnonzero(mask).astype(np.int64)
-        if elements.size and not mask[(elements * 2) % n].all():
+        # entry x of ``doubled`` is mask[2x mod n]: for odd n, x < (n+1)/2
+        # reads the even residues and the rest the odd ones
+        doubled = np.concatenate((mask[0::2], mask[1::2]))
+        if (mask & ~doubled).any():
             raise ValueError("set is not closed under doubling mod n")
+        elements = np.flatnonzero(mask).astype(np.int64, copy=False)
         elements.setflags(write=False)
         return cls(n=n, elements=elements, origin=dict(origin or {}))
 

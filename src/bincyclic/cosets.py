@@ -66,15 +66,29 @@ class CosetTable:
         return tuple(self.leaders[self.sizes == size].tolist())
 
     def union_mask(self, leaders: "list[int] | tuple[int, ...] | np.ndarray") -> np.ndarray:
-        """Boolean membership mask over Z_n for a union of cosets."""
-        chosen = np.asarray(leaders, dtype=self.leader_of.dtype)
-        return np.isin(self.leader_of, chosen)
+        """Boolean membership mask over Z_n for a union of cosets.
+
+        One gather through ``leader_of`` from a boolean mask of the chosen
+        leaders, so repeated leaders are harmless and no copy of
+        ``leader_of`` is made.
+        """
+        pick = np.zeros(self.n, dtype=bool)
+        pick[np.asarray(leaders, dtype=self.leader_of.dtype)] = True
+        return pick[self.leader_of]
+
+
+def _rotate_left(word: np.ndarray, top: np.ndarray, m: int) -> None:
+    """Double each uint32 residue mod 2^m - 1 in place, which rotates its
+    m-bit word one step left; ``top`` is scratch of the same shape."""
+    np.right_shift(word, m - 1, out=top)
+    np.left_shift(word, 1, out=word)
+    np.bitwise_and(word, (1 << m) - 1, out=word)
+    np.bitwise_or(word, top, out=word)
 
 
 def orbit_minima(words: np.ndarray, m: int) -> None:
     """Replace each word of a uint32 array of residues mod 2^m - 1, in
     place, with the least member of its coset."""
-    n = (1 << m) - 1
     # Doubling rotates the m-bit word left; after r passes a word is the
     # least of its first r + 1 rotations, and every orbit has at most m.
     # Blocks of 2^16 words (256 KiB) stay in cache through all m - 1 passes,
@@ -84,10 +98,7 @@ def orbit_minima(words: np.ndarray, m: int) -> None:
         word = best.copy()
         top = np.empty_like(word)
         for _ in range(m - 1):
-            np.right_shift(word, m - 1, out=top)
-            np.left_shift(word, 1, out=word)
-            np.bitwise_and(word, n, out=word)
-            np.bitwise_or(word, top, out=word)
+            _rotate_left(word, top, m)
             np.minimum(best, word, out=best)
 
 
@@ -96,15 +107,43 @@ def negated_mask(mask: np.ndarray) -> np.ndarray:
     return np.concatenate((mask[:1], mask[:0:-1]))
 
 
+def _rotation_periods(leaders: np.ndarray, m: int) -> np.ndarray:
+    """Coset size of each residue in ``leaders`` (mod 2^m - 1), as int64.
+
+    The size is the word's rotation period p: the rotations that fix an
+    m-bit word are the m/p multiples of p, so m - 1 rotate-and-compare
+    passes count them and p is m over the count.
+    """
+    start = leaders.astype(np.uint32)
+    word = start.copy()
+    top = np.empty_like(word)
+    fixed = np.ones(start.size, dtype=np.int64)  # rotation by 0
+    for _ in range(m - 1):
+        _rotate_left(word, top, m)
+        fixed += word == start
+    return m // fixed
+
+
 def build_table(m: int) -> CosetTable:
+    """The coset table mod 2^m - 1.
+
+    ``leader_of`` is :func:`orbit_minima` of Z_n in place, a uint32 array
+    viewed as int32; the leaders are its fixed points, found block by
+    block, and their sizes come from :func:`_rotation_periods`.  No other
+    array as long as Z_n is made.  The sizes must divide m and sum to n,
+    or :class:`InvariantError` is raised.
+    """
     check_field_degree(m)
     n = (1 << m) - 1
     lead = np.arange(n, dtype=np.uint32)
     orbit_minima(lead, m)
+    block = np.arange(1 << 16, dtype=np.uint32)
+    leaders = np.concatenate([
+        start + np.flatnonzero(lead[start : start + block.size] == block[: n - start] + start)
+        for start in range(0, n, block.size)
+    ])
+    sizes = _rotation_periods(leaders, m)
     leader_of = lead.view(np.int32)
-    counts = np.bincount(leader_of, minlength=n)
-    leaders = np.flatnonzero(counts)
-    sizes = counts[leaders]
     if np.any(m % sizes):
         raise InvariantError("coset sizes must divide m")
     if int(sizes.sum()) != n:

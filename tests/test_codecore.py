@@ -6,10 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bincyclic
 from bincyclic import codecore
@@ -476,6 +479,51 @@ class TestDescribe:
                 "bch_lower_bound": run[0],
                 "bch_interval_start": run[1],
             }, sorted(z.as_set())
+
+    @given(m=st.integers(2, 10), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dual_read_from_minus_z_matches_the_built_dual(self, m, data):
+        n = (1 << m) - 1
+        table = build_table(m)
+        picked = data.draw(st.lists(st.sampled_from(table.leaders.tolist()), unique=True))
+        z = DefiningSet.from_mask(n, table.union_mask(picked))
+        assume(len(z) < n)
+        self._check_dual(z)
+
+    @staticmethod
+    def _check_dual(z):
+        n = z.n
+        dual = describe(z)["dual"]
+        assert dual["size"] == n - len(z)
+        # the zero code's vacuous run goes round the whole circle
+        want = (n + 1, 0) if len(z) == 0 else bch_run(dual_defining_set(z))
+        assert (dual["bch_lower_bound"], dual["bch_interval_start"]) == want
+        return want
+
+    def test_dual_read_from_minus_z_edge_cases(self):
+        for m in (3, 4, 7):
+            n = (1 << m) - 1
+            table = build_table(m)
+            assert self._check_dual(_set(n, ())) == (n + 1, 0)
+            assert self._check_dual(_set(n, range(1, n))) == (2, 0)   # the dual is {0}
+            assert self._check_dual(_set(n, (0,))) == (n, 1)
+            self._check_dual(DefiningSet.from_mask(n, table.union_mask([0, 1])))
+            self._check_dual(DefiningSet.from_mask(n, table.union_mask([1])))
+        # mod 15 the dual of C_7 = {7, 11, 13, 14} is {0, 3, 5, 6, 7, 9, ..., 14},
+        # whose longest run, 9..14 and 0, wraps past n - 1
+        assert self._check_dual(_set(15, (7, 11, 13, 14))) == (8, 9)
+
+    def test_describe_makes_no_array_as_long_as_z_n(self):
+        # about two int64 arrays of |Z| (the gaps and their run lengths) and
+        # a boolean mask or two over Z_n; building the dual set made about four
+        z, _, _ = build_even_m(18)
+        tracemalloc.start()
+        try:
+            describe(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * z.elements.nbytes + 2 * z.n, f"peak {peak / 2**20:.2f} MB"
 
     def test_keys_in_envelope_order(self):
         # dict equality ignores order; the JSON envelope does not

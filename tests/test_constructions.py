@@ -61,6 +61,33 @@ class TestDefiningSet:
             DefiningSet.from_mask(7, np.ones(length, dtype=bool))
         assert len(DefiningSet.from_mask(7, np.ones(7, dtype=bool))) == 7
 
+    def test_closure_check_matches_doubling_the_elements(self):
+        rng = np.random.default_rng(20261019)
+        for m in (2, 3, 4, 5, 6, 9):
+            n = (1 << m) - 1
+            table = build_table(m)
+            masks = [rng.random(n) < rng.random() for _ in range(50)]
+            masks += [table.union_mask(rng.choice(table.leaders, size=3)) for _ in range(20)]
+            # the whole coset of x but 2x: closure breaks at x alone, where
+            # the doubled mask moves from the even residues to the odd ones
+            for x in ((n - 1) // 2, (n + 1) // 2, n - 1):
+                broken = table.union_mask([table.leader_of[x]])
+                broken[(2 * x) % n] = False
+                masks.append(broken)
+            for mask in masks:
+                elements = np.flatnonzero(mask)
+                closed = bool(mask[(2 * elements) % n].all())
+                try:
+                    z = DefiningSet.from_mask(n, mask)
+                except ValueError as exc:
+                    assert not closed and "doubling" in str(exc), elements
+                else:
+                    assert closed and np.array_equal(z.elements, elements), elements
+
+    def test_rejects_an_even_modulus(self):
+        with pytest.raises(ValueError, match="odd"):
+            DefiningSet.from_mask(8, np.zeros(8, dtype=bool))
+
     def test_elements_read_only(self):
         z = DefiningSet.from_elements(15, (5, 10))
         with pytest.raises(ValueError):

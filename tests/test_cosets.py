@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,19 @@ class TestBuildTable:
         expected[list(M6_COSETS[1] + M6_COSETS[9])] = True
         assert np.array_equal(mask, expected)
 
+    @pytest.mark.parametrize("m", [2, 6, 9])
+    def test_union_mask_matches_isin(self, m):
+        table = build_table(m)
+        leaders = table.leaders.tolist()
+        rng = np.random.default_rng(m)
+        picks = [[], [leaders[-1]] * 3, leaders, leaders + leaders[::-1]]
+        picks += [rng.choice(leaders, size=rng.integers(1, 2 * len(leaders))).tolist()
+                  for _ in range(20)]
+        for picked in picks:
+            mask = table.union_mask(picked)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, np.isin(table.leader_of, picked)), picked
+
     def test_leaders_of_size(self):
         table = build_table(6)
         assert table.leaders_of_size(3) == (9, 27)
@@ -105,6 +119,24 @@ class TestBuildTable:
     def test_every_leader_is_the_orbit_minimum(self, m):
         table = build_table(m)
         assert table.leader_of.tolist() == [min(coset_of(x, table.n)) for x in range(table.n)]
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_leaders_and_sizes_match_a_bincount(self, m):
+        table = build_table(m)
+        counts = np.bincount(table.leader_of, minlength=table.n)
+        assert np.array_equal(table.leaders, np.flatnonzero(counts))
+        assert np.array_equal(table.sizes, counts[table.leaders])
+
+    def test_makes_no_other_array_as_long_as_z_n(self):
+        # leader_of is the one n-long array kept; a second int32 array, or
+        # any int64 array, over Z_n (2 MB at m = 18) would break the bound
+        tracemalloc.start()
+        try:
+            table = build_table(18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.leader_of.nbytes + 3 * 2**19, f"peak {peak / 2**20:.2f} MB"
 
     @pytest.mark.parametrize("m", range(15, 19))
     def test_matches_pointer_jumping(self, m):
@@ -228,7 +260,7 @@ class TestClassification:
 
 CORRUPTED_TABLE_SCRIPT = """
 import numpy as np
-from bincyclic import InvariantError
+from bincyclic import InvariantError, cosets
 from bincyclic.cosets import CosetTable, build_table, classify_by_size
 
 if __debug__:
@@ -257,11 +289,12 @@ print(raises(lambda: classify_by_size(altered(t6, t6.leaders, sizes), 2, 3)))
 # an extra leader of size 7, which no m = 15 coset has
 print(raises(lambda: classify_by_size(
     altered(t15, np.append(t15.leaders, t15.n), np.append(t15.sizes, 7)), 3, 5)))
-# broken counts inside build_table: every coset counted twice, then the coset of 1 lost
-count = np.bincount
-np.bincount = lambda a, minlength: 2 * count(a, minlength=minlength)
+# broken sizes inside build_table: every size doubled (4 and 12 do not
+# divide 6), then the coset of 1 dropped
+periods = cosets._rotation_periods
+cosets._rotation_periods = lambda leaders, m: 2 * periods(leaders, m)
 print(raises(lambda: build_table(6)))
-np.bincount = lambda a, minlength: count(a, minlength=minlength) * (np.arange(minlength) != 1)
+cosets._rotation_periods = lambda leaders, m: periods(leaders, m)[leaders != 1]
 print(raises(lambda: build_table(6)))
 """
 

@@ -18,9 +18,10 @@ several sizes, the human and ``--elements-only`` forms, the six
 and ``--i``), ``--elements-only`` at m = 20 and the m = 22 ``export``
 written to an ``--output`` file, ``analyze`` and ``export`` with each
 distance engine (``analyze -`` reading its residues from stdin, in human
-and JSON form; the exhaustive sweep also on the empty set, on two-lane
-codes of length 127, once with two threads, and on a [63,24] code with 64
-threads asked for; the search also for enough iterations to span several
+and JSON form; a [31,20] code whose set holds 0 and a [31,21] code whose
+dual's longest run wraps past n - 1; the exhaustive sweep also on the
+empty set, on two-lane codes of length 127, once with two threads, and
+on a [63,24] code with 64 threads asked for; the search also for enough iterations to span several
 reduction batches; the proof engine in JSON and human form, and on an
 [8191,14] code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
 ``--all``, JSON and human, a glob that skips a slow fixture and a slow
@@ -84,8 +85,9 @@ STDIN = ",".join(M4_RESIDUES.split())
 
 def _residues_outside(m: int, outside: tuple[int, ...]) -> str:
     """Every residue mod 2^m - 1 outside the cyclotomic cosets of
-    ``outside``, for ``analyze``: at m = 6 a [63,24] code, at m = 7 a code
-    of dimension 15 or 22 on two uint64 lanes, at m = 13 an [8191,14] code."""
+    ``outside``, for ``analyze``: at m = 5 a code of dimension 20 or 21,
+    at m = 6 a [63,24] code, at m = 7 a code of dimension 15 or 22 on two
+    uint64 lanes, at m = 13 an [8191,14] code."""
     n = (1 << m) - 1
     free = {(x << j) % n for x in outside for j in range(m)}
     return " ".join(str(r) for r in range(n) if r not in free)
@@ -107,6 +109,10 @@ ENGINE_RUNS = (
     # more workers asked for than any host has cores
     ["analyze", SCRATCH + "/m6k24.txt", "--m", "6", "--engine", "exhaustive", "--threads", "64", "--json"],
     ["analyze", SCRATCH + "/m13k14.txt", "--m", "13", "--engine", "proof", "--json"],
+    # {0} with the cosets of 1 and 3 mod 31; the cosets of 3 and 5, whose
+    # dual's longest run, 29..6, wraps past n - 1
+    ["analyze", SCRATCH + "/m5z0.txt", "--m", "5", "--engine", "proof", "--json"],
+    ["analyze", SCRATCH + "/m5wrap.txt", "--m", "5", "--engine", "exhaustive", "--json"],
     ["export", "sqrt", "--m", "5", "--engine", "proof"],
     ["export", "sqrt", "--m", "5", "--engine", "exhaustive", "--threads", "2"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search",
@@ -204,8 +210,8 @@ def record(outdir: Path, run_command) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         # analyze reads residues from files: the [15,7] code, the empty set, two-prime
-        # p = 3's [63,32], a [63,24] code, two codes of length 127, one of length 8191
-        # and one residue past int64
+        # p = 3's [63,32], a [63,24] code, two codes of length 127, one of length 8191,
+        # two of length 31 and one residue past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
         Path(scratch, "empty.txt").write_text("", encoding="utf-8")
@@ -214,6 +220,8 @@ def record(outdir: Path, run_command) -> int:
         Path(scratch, "m7k15.txt").write_text(_residues_outside(7, (0, 1, 5)), encoding="utf-8")
         Path(scratch, "m7k22.txt").write_text(_residues_outside(7, (0, 1, 5, 9)), encoding="utf-8")
         Path(scratch, "m13k14.txt").write_text(_residues_outside(13, (0, 1)), encoding="utf-8")
+        Path(scratch, "m5z0.txt").write_text(_residues_outside(5, (5, 7, 11, 15)), encoding="utf-8")
+        Path(scratch, "m5wrap.txt").write_text(_residues_outside(5, (0, 1, 7, 11, 15)), encoding="utf-8")
         Path(scratch, "huge.txt").write_text("1 2 4 8 99999999999999999999999", encoding="utf-8")
         cmds = commands()
         for i, template in enumerate(cmds):
