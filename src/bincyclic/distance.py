@@ -5,8 +5,9 @@ Three engines share one result type:
 * :func:`exact_min_distance` enumerates every nonzero message in Gray
   order, so consecutive codewords differ by one XOR with a shifted copy
   of the generator.  The low bits of the message index a precomputed
-  block of XOR combinations kept as a bit-packed matrix; one XOR and
-  popcount pass into buffers allocated once scores a whole block.
+  block of XOR combinations; each worker keeps its own lane-major copy of
+  that block as codewords, and a step XORs the toggled row into it in
+  place and popcounts it into a buffer allocated once.
   Exact, and independent of the number of workers.
 * :func:`proven_min_distance` enumerates systematic messages by
   information weight on one window of k consecutive positions.  Any k
@@ -164,12 +165,17 @@ def _scan_range(
 ) -> tuple[int, int, int]:
     """Score Gray-code segment [t_start, t_stop) of the high message bits.
 
-    Returns (best weight, canonical witness, messages scored).  The base
-    codeword for t_start is rebuilt from gray(t_start); each later step
-    XORs in the single toggled row.  A step allocates nothing: it XORs the
-    block into ``scratch`` and adds the lanes' popcounts into ``weights``,
-    whose dtype holds 64 * lanes + 1 (uint8 up to n = 191), so its maximum
-    marks the zero message, which step t = 0 skips.
+    Returns (best weight, canonical witness, messages scored).  The worker
+    holds its own block of codewords, ``words``: the (lanes, rows) transpose
+    of ``combos`` XORed with the codeword of gray(t_start), copied so that
+    the shared ``combos`` is never written.  Each later step XORs the
+    single toggled row into ``words`` in place, lane by lane, and adds the
+    lanes' popcounts into ``weights``, whose dtype holds 64 * lanes + 1
+    (uint8 up to n = 191), so its maximum marks the zero message, which
+    step t = 0 skips.  A step allocates nothing until
+    it ties or beats the best weight; then the lightest words' columns are
+    narrowed to the smallest, top lane first, which is the canonical
+    witness.
     """
     rows, lanes = combos.shape
     base = np.zeros(lanes, dtype=np.uint64)
@@ -180,27 +186,38 @@ def _scan_range(
             base ^= high_rows[j]
         j += 1
 
-    scratch = np.empty_like(combos)
+    words = combos.T.copy()  # a copy: with one lane, combos.T is already contiguous
+    words ^= base[:, None]
+    lane_words = list(words)
+    # (lane, word) pairs per row: at one lane this steps a little faster
+    # than a broadcast ``words ^= high_rows[i, :, None]``
+    toggles = [list(zip(lane_words, row)) for row in high_rows]
     weights = np.empty(rows, dtype=np.min_scalar_type(64 * lanes + 1))
-    lane_counts = np.empty(rows, dtype=np.uint8)
+    lane_counts = np.empty(rows, dtype=np.uint8) if lanes > 1 else None
     best_w = 1 << 30
     best_wit = 0
     scored = 0
     for t in range(t_start, t_stop):
         if t != t_start:
-            base ^= high_rows[_ntz(t)]
-        np.bitwise_xor(combos, base, out=scratch)
-        np.bitwise_count(scratch[:, 0], out=weights)
-        for lane in range(1, lanes):
-            np.bitwise_count(scratch[:, lane], out=lane_counts)
+            for lane, word in toggles[_ntz(t)]:
+                lane ^= word
+        np.bitwise_count(lane_words[0], out=weights)
+        for lane in lane_words[1:]:
+            np.bitwise_count(lane, out=lane_counts)
             weights += lane_counts
         if t == 0:
             weights[0] = np.iinfo(weights.dtype).max
             scored -= 1
         scored += rows
-        wmin = int(weights.min())
+        wmin = int(np.minimum.reduce(weights))
         if wmin <= best_w:
-            best_w, best_wit = min((best_w, best_wit), (wmin, _lightest(scratch, weights, wmin)))
+            hits = np.flatnonzero(weights == wmin)
+            for lane in reversed(lane_words):
+                column = lane[hits]
+                hits = hits[column == np.minimum.reduce(column)]
+            witness = _lanes_to_int(words[:, hits[0]])
+            if wmin < best_w or witness < best_wit:
+                best_w, best_wit = wmin, witness
     return best_w, best_wit, scored
 
 
@@ -213,7 +230,7 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
 
     Refuses dimensions above ``budget`` (default 33, around 8.6e9 scored
     messages).  ``threads`` is a parallelism hint, capped at the number of
-    CPUs, since each worker holds its own scratch block; the message space
+    CPUs, since each worker holds its own block of codewords; the message space
     is split into contiguous Gray segments and the per-segment results are
     min-combined on (weight, witness), so the answer -- including the
     canonical witness, the smallest bit-packed minimum-weight word -- is

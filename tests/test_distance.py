@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -343,6 +344,68 @@ class TestScanRangeKernel:
         assert proc.stdout.split() == [
             "exhaustive", str(want.exact_distance), str(want.witness), str(want.iterations)
         ]
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_leaves_its_inputs_unchanged(self, lanes, start):
+        # with one lane the transpose of combos is contiguous already, so only
+        # a copy keeps the sweep from writing into the workers' shared block
+        code = _codes_of_dimension(6, (20,), 95)[0] if lanes == 1 else _two_lane_code()
+        combos, high_rows = _sweep_inputs(code, 8)
+        assert combos.shape[1] == lanes
+        before = combos.tobytes(), high_rows.tobytes()
+        total = 1 << len(high_rows)
+        first = _scan_range(combos, high_rows, start, total)
+        assert (combos.tobytes(), high_rows.tobytes()) == before
+        assert _scan_range(combos, high_rows, start, total) == first
+        assert first == _reference_scan_range(combos, high_rows, start, total, start == 0)
+
+    def test_memory_is_one_block_of_codewords(self):
+        # the n = 63, k = 21 code: 2^16 rows on one lane and 2^5 Gray steps
+        mask = build_table(6).union_mask([1, 3, 5, 7, 11, 13, 15])
+        code = assemble(DefiningSet.from_mask(63, mask, {"construction": "random"}))
+        combos, high_rows = _sweep_inputs(code, 16)
+        rows = combos.shape[0]
+        assert (rows, len(high_rows)) == (1 << 16, 5)
+        tracemalloc.start()
+        try:
+            _scan_range(combos, high_rows, 0, 1 << len(high_rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < combos.nbytes + 2 * rows + (64 << 10), f"peak {peak} bytes"
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_sizes(m):
+    table = build_table(m)
+    return table, list(zip(table.leaders.tolist(), table.sizes.tolist()))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_scan_range_matches_the_reference_on_random_sets(data):
+    m = data.draw(st.sampled_from([5, 6, 7, 8]), label="m")
+    n = 2**m - 1
+    table, cosets = _coset_sizes(m)
+    # the code's nonzeros: cosets taken in a random order while they fit k <= k_max
+    k_max = data.draw(st.integers(1, 20), label="k_max")
+    free, k = [], 0
+    for leader, size in data.draw(st.permutations(cosets), label="order"):
+        if k + size <= k_max:
+            free.append(leader)
+            k += size
+    code = assemble(DefiningSet.from_mask(n, ~table.union_mask(free), {"construction": "random"}))
+    assert code.dimension == k
+    h = data.draw(st.integers(1, min(k, 10)), label="h")
+    combos, high_rows = _sweep_inputs(code, h)
+    total = 1 << len(high_rows)
+    lo = data.draw(st.integers(0, total - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, min(total, lo + 64)), label="hi")
+    # the drawn segment, one as long from the zero message, and its first step
+    for a, b in {(lo, hi), (0, hi - lo), (lo, lo + 1)}:
+        got = _scan_range(combos, high_rows, a, b)
+        assert got == _reference_scan_range(combos, high_rows, a, b, a == 0), (a, b)
 
 
 @pytest.fixture(scope="module")

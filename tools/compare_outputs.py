@@ -20,8 +20,9 @@ written to an ``--output`` file, ``analyze`` and ``export`` with each
 distance engine (``analyze -`` reading its residues from stdin, in human
 and JSON form; a [31,20] code whose set holds 0 and a [31,21] code whose
 dual's longest run wraps past n - 1; the exhaustive sweep also on the
-empty set, on two-lane codes of length 127, once with two threads, and
-on a [63,24] code with 64 threads asked for; the search also for enough iterations to span several
+empty set, on two-lane codes of length 127, once with two threads, on a
+four-lane [255,18] code with one and two threads, and on a [63,24] code
+with 64 threads asked for; the search also for enough iterations to span several
 reduction batches; the proof engine in JSON and human form, and on an
 [8191,14] code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
 ``--all``, JSON and human, a glob that skips a slow fixture and a slow
@@ -87,7 +88,8 @@ def _residues_outside(m: int, outside: tuple[int, ...]) -> str:
     """Every residue mod 2^m - 1 outside the cyclotomic cosets of
     ``outside``, for ``analyze``: at m = 5 a code of dimension 20 or 21,
     at m = 6 a [63,24] code, at m = 7 a code of dimension 15 or 22 on two
-    uint64 lanes, at m = 13 an [8191,14] code."""
+    uint64 lanes, at m = 8 a [255,18] code on four, at m = 13 an [8191,14]
+    code."""
     n = (1 << m) - 1
     free = {(x << j) % n for x in outside for j in range(m)}
     return " ".join(str(r) for r in range(n) if r not in free)
@@ -106,6 +108,9 @@ ENGINE_RUNS = (
     ["analyze", SCRATCH + "/p3.txt", "--m", "6", "--engine", "search", "--seed", "3", "--iters", "40"],
     ["analyze", SCRATCH + "/m7k15.txt", "--m", "7", "--engine", "exhaustive", "--json"],
     ["analyze", SCRATCH + "/m7k22.txt", "--m", "7", "--engine", "exhaustive", "--threads", "2", "--json"],
+    # four lanes, whose weights need uint16; two workers take two Gray steps each
+    ["analyze", SCRATCH + "/m8k18.txt", "--m", "8", "--engine", "exhaustive", "--json"],
+    ["analyze", SCRATCH + "/m8k18.txt", "--m", "8", "--engine", "exhaustive", "--threads", "2", "--json"],
     # more workers asked for than any host has cores
     ["analyze", SCRATCH + "/m6k24.txt", "--m", "6", "--engine", "exhaustive", "--threads", "64", "--json"],
     ["analyze", SCRATCH + "/m13k14.txt", "--m", "13", "--engine", "proof", "--json"],
@@ -210,8 +215,8 @@ def record(outdir: Path, run_command) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         # analyze reads residues from files: the [15,7] code, the empty set, two-prime
-        # p = 3's [63,32], a [63,24] code, two codes of length 127, one of length 8191,
-        # two of length 31 and one residue past int64
+        # p = 3's [63,32], a [63,24] code, two codes of length 127, one of length 255,
+        # one of length 8191, two of length 31 and one residue past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
         Path(scratch, "empty.txt").write_text("", encoding="utf-8")
@@ -219,6 +224,7 @@ def record(outdir: Path, run_command) -> int:
         Path(scratch, "m6k24.txt").write_text(_residues_outside(6, (1, 3, 5, 7)), encoding="utf-8")
         Path(scratch, "m7k15.txt").write_text(_residues_outside(7, (0, 1, 5)), encoding="utf-8")
         Path(scratch, "m7k22.txt").write_text(_residues_outside(7, (0, 1, 5, 9)), encoding="utf-8")
+        Path(scratch, "m8k18.txt").write_text(_residues_outside(8, (1, 3, 85)), encoding="utf-8")
         Path(scratch, "m13k14.txt").write_text(_residues_outside(13, (0, 1)), encoding="utf-8")
         Path(scratch, "m5z0.txt").write_text(_residues_outside(5, (5, 7, 11, 15)), encoding="utf-8")
         Path(scratch, "m5wrap.txt").write_text(_residues_outside(5, (0, 1, 7, 11, 15)), encoding="utf-8")
