@@ -136,7 +136,7 @@ def _complement_pairs(table: CosetTable, resid_mask: np.ndarray) -> list[tuple[i
     C_partner = -C_ell is its complement image; ascending, ell < partner.
     Every partner must itself be met and differ from ell."""
     n = table.n
-    resid_leaders = set(np.unique(table.leader_of[np.flatnonzero(resid_mask)]).tolist())
+    resid_leaders = set(table.leaders_in(resid_mask))
     pairs: list[tuple[int, int]] = []
     seen: set[int] = set()
     for ell in sorted(resid_leaders):
@@ -189,7 +189,7 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     table = build_table(m)
     pairs = [
         (small, big) if swap_pairs else (big, small)
-        for small, big in _complement_pairs(table, resid_mask)
+        for small, big in _complement_pairs(table, resid_mask[:n])
     ]
 
     p1_mask = np.zeros(size, dtype=bool)
@@ -278,7 +278,7 @@ def _greedy_select(
     each builder places its own fields around them.
     """
     n = table.n
-    met = np.unique(table.leader_of[1 : d0_max + 1]).tolist()
+    met = table.leaders_in(slice(1, d0_max + 1))
     full_set = set(full_leaders)
     f_leaders = tuple(v for v in met if v in full_set)
     if not f_leaders:
@@ -440,12 +440,12 @@ def build_sqrt_complement(m: int, overrides=None):
     table = build_table(m)
     block_top = 2 ** ((m + 1) // 2) - 2
 
-    t_leaders = tuple(int(v) for v in np.unique(table.leader_of[1 : block_top + 1]))
+    t_leaders = table.leaders_in(slice(1, block_top + 1))
     t_mask = table.union_mask(t_leaders)
     neg_t_mask = negated_mask(t_mask)
     if (t_mask & neg_t_mask).any():
         raise InvariantError("block and negated block must not meet")
-    neg_t_leaders = tuple(int(v) for v in np.unique(table.leader_of[np.flatnonzero(neg_t_mask)]))
+    neg_t_leaders = table.leaders_in(neg_t_mask)
 
     resid_mask = ~t_mask & ~neg_t_mask
     resid_mask[0] = False
@@ -527,12 +527,12 @@ def build_weight_class(m: int, i: int):
     table = build_table(m)
     parity_masks = weight_classes(m)
 
-    a_leaders = tuple(int(v) for v in np.unique(table.leader_of[1 : L + 1]))
+    a_leaders = table.leaders_in(slice(1, L + 1))
     a_mask = table.union_mask(a_leaders)
 
     # -C_j = C_{n-j}, and every member of C_j has the weight parity of j.
     b0_mask = negated_mask(a_mask & parity_masks[i])
-    b0_leaders = tuple(int(v) for v in np.unique(table.leader_of[b0_mask]))
+    b0_leaders = table.leaders_in(b0_mask)
     b_all_mask = negated_mask(a_mask)
 
     # m is odd, so m % 4 is 1 or 3: (i, m % 4) falls in one of two cases.
@@ -545,11 +545,10 @@ def build_weight_class(m: int, i: int):
     lead = lambda x: int(table.leader_of[x])
 
     # Identity: the block meets the negated block in exactly four cosets.
-    expected_inter = sorted(
+    expected_inter = tuple(sorted(
         {lead(2**half - 1), lead(2 ** (half + 1) - 3), lead(2 ** (half + 1) - 1), lead(3 * 2**half - 1)}
-    )
-    inter_mask = a_mask & b_all_mask
-    inter_leaders = sorted(int(v) for v in np.unique(table.leader_of[np.flatnonzero(inter_mask)]))
+    ))
+    inter_leaders = table.leaders_in(a_mask & b_all_mask)
     if inter_leaders != expected_inter:
         raise InvariantError(f"A ∩ B meets cosets {inter_leaders}, expected {expected_inter}")
     # The four top-block residues never land in the negated block.
@@ -586,7 +585,7 @@ def build_weight_class(m: int, i: int):
         v=v_val,
         a_leaders=a_leaders,
         b0_leaders=b0_leaders,
-        intersection_leaders=tuple(inter_leaders),
+        intersection_leaders=inter_leaders,
         excluded_top=excluded_top,
     )
     return z, audit

@@ -5,9 +5,9 @@ Three engines share one result type:
 * :func:`exact_min_distance` enumerates every nonzero message in Gray
   order, so consecutive codewords differ by one XOR with a shifted copy
   of the generator.  The low bits of the message index a precomputed
-  block of XOR combinations; each worker keeps its own lane-major copy of
-  that block as codewords, and a step XORs the toggled row into it in
-  place and popcounts it into a buffer allocated once.
+  block of XOR combinations; each worker keeps its own copy of that
+  block as codewords, and a step XORs the toggled row into it in place
+  and popcounts it into a buffer allocated once.
   Exact, and independent of the number of workers.
 * :func:`proven_min_distance` enumerates systematic messages by
   information weight on one window of k consecutive positions.  Any k
@@ -26,6 +26,10 @@ Three engines share one result type:
 The proof and search engines score their row combinations through one
 enumerator, :func:`_subset_blocks`, which XORs bounded tables of subset
 tails with a walk over prefixes.
+
+Every block of words here -- rows, combinations, tail tables, bases --
+is lane-major: a (lanes, words) uint64 array whose row l holds bits
+64*l to 64*l + 63 of each word, so a word is a column.
 
 :func:`auto_distance` picks between the exhaustive and search engines
 on dimension.
@@ -125,36 +129,36 @@ def _proved(code: CyclicCode, method: str, weight: int, witness: int, iterations
 
 
 def _to_lanes(words, lanes: int) -> np.ndarray:
-    """Ints below 2^(64*lanes) as a (len(words), lanes) array of uint64
-    lanes, least significant lane first; :func:`_lanes_to_int` inverts it."""
-    raw = b"".join(word.to_bytes(8 * lanes, "little") for word in words)
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, lanes)
+    """Ints below 2^(64*lanes) as a (lanes, len(words)) block, least
+    significant lane first; :func:`_lanes_to_int` inverts each column."""
+    low = (1 << 64) - 1
+    return np.array([[(word >> shift) & low for word in words]
+                     for shift in range(0, 64 * lanes, 64)], dtype=np.uint64)
+
+
+def _shift_rows(code: CyclicCode) -> np.ndarray:
+    """The generator matrix's rows x^i * g (i < k) as a (lanes, k) block."""
+    return _to_lanes([code.generator << i for i in range(code.dimension)], (code.n + 63) // 64)
 
 
 def _popcount(block: np.ndarray) -> np.ndarray:
-    """Weight of each row of a (rows, lanes) array of uint64 lanes.
-
-    numpy sums a short inner axis slowly, and each lane column costs one
-    more call: adding the columns one by one is the faster of the two
-    from about 64 rows per lane (timed at 2 to 16 lanes).
-    """
-    rows, lanes = block.shape
-    if lanes > 1 and rows < 64 * lanes:
-        return np.bitwise_count(block).sum(axis=1)
-    # the smallest dtype that holds a weight of 64 * lanes; no copy for one lane
-    counts = np.bitwise_count(block[:, 0]).astype(np.min_scalar_type(64 * lanes), copy=False)
-    for lane in range(1, lanes):
-        counts += np.bitwise_count(block[:, lane])
-    return counts
+    """Weight of each word of a block, in the smallest dtype that holds
+    64 * lanes."""
+    return np.bitwise_count(block).sum(axis=0, dtype=np.min_scalar_type(64 * block.shape[0]))
 
 
 def _lanes_to_int(lanes: np.ndarray) -> int:
     return int.from_bytes(lanes.astype("<u8").tobytes(), "little")
 
 
-def _lightest(block: np.ndarray, counts: np.ndarray, low: int) -> int:
-    """The smallest bit-packed word among the rows of ``block`` of weight ``low``."""
-    return min(_lanes_to_int(word) for word in block[counts == low])
+def _smallest(block: np.ndarray, hits: np.ndarray) -> int:
+    """The smallest bit-packed word among the columns ``hits`` of a block:
+    the hits are narrowed to the least top lane, then to the least next
+    lane down, and so on."""
+    for lane in block[::-1]:
+        column = lane[hits]
+        hits = hits[column == np.minimum.reduce(column)]
+    return _lanes_to_int(block[:, hits[0]])
 
 
 def _scan_range(
@@ -166,32 +170,26 @@ def _scan_range(
     """Score Gray-code segment [t_start, t_stop) of the high message bits.
 
     Returns (best weight, canonical witness, messages scored).  The worker
-    holds its own block of codewords, ``words``: the (lanes, rows) transpose
-    of ``combos`` XORed with the codeword of gray(t_start), copied so that
-    the shared ``combos`` is never written.  Each later step XORs the
-    single toggled row into ``words`` in place, lane by lane, and adds the
-    lanes' popcounts into ``weights``, whose dtype holds 64 * lanes + 1
-    (uint8 up to n = 191), so its maximum marks the zero message, which
-    step t = 0 skips.  A step allocates nothing until
-    it ties or beats the best weight; then the lightest words' columns are
-    narrowed to the smallest, top lane first, which is the canonical
-    witness.
+    holds its own block of codewords, ``words``: ``combos`` XORed with the
+    codeword of gray(t_start), a copy, so the shared ``combos`` is never
+    written.  Each later step XORs the toggled high row into ``words`` in
+    place and adds the lanes' popcounts into ``weights``, whose dtype holds
+    64 * lanes + 1 (uint8 up to n = 191), so its maximum marks the zero
+    message, which step t = 0 skips.  A step allocates nothing until it
+    ties or beats the best weight; then :func:`_smallest` picks the
+    canonical witness among the lightest words.
     """
-    rows, lanes = combos.shape
+    lanes, rows = combos.shape
     base = np.zeros(lanes, dtype=np.uint64)
     gray = t_start ^ (t_start >> 1)
     j = 0
     while gray >> j:
         if (gray >> j) & 1:
-            base ^= high_rows[j]
+            base ^= high_rows[:, j]
         j += 1
 
-    words = combos.T.copy()  # a copy: with one lane, combos.T is already contiguous
+    words = combos.copy()
     words ^= base[:, None]
-    lane_words = list(words)
-    # (lane, word) pairs per row: at one lane this steps a little faster
-    # than a broadcast ``words ^= high_rows[i, :, None]``
-    toggles = [list(zip(lane_words, row)) for row in high_rows]
     weights = np.empty(rows, dtype=np.min_scalar_type(64 * lanes + 1))
     lane_counts = np.empty(rows, dtype=np.uint8) if lanes > 1 else None
     best_w = 1 << 30
@@ -199,10 +197,9 @@ def _scan_range(
     scored = 0
     for t in range(t_start, t_stop):
         if t != t_start:
-            for lane, word in toggles[_ntz(t)]:
-                lane ^= word
-        np.bitwise_count(lane_words[0], out=weights)
-        for lane in lane_words[1:]:
+            words ^= high_rows[:, _ntz(t), None]
+        np.bitwise_count(words[0], out=weights)
+        for lane in words[1:]:
             np.bitwise_count(lane, out=lane_counts)
             weights += lane_counts
         if t == 0:
@@ -211,11 +208,7 @@ def _scan_range(
         scored += rows
         wmin = int(np.minimum.reduce(weights))
         if wmin <= best_w:
-            hits = np.flatnonzero(weights == wmin)
-            for lane in reversed(lane_words):
-                column = lane[hits]
-                hits = hits[column == np.minimum.reduce(column)]
-            witness = _lanes_to_int(words[:, hits[0]])
+            witness = _smallest(words, np.flatnonzero(weights == wmin))
             if wmin < best_w or witness < best_wit:
                 best_w, best_wit = wmin, witness
     return best_w, best_wit, scored
@@ -246,15 +239,15 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
         raise ValueError("threads must be >= 1")
     threads = min(threads, os.cpu_count() or 1)
 
-    lanes = (code.n + 63) // 64
-    rows = _to_lanes([code.generator << i for i in range(k)], lanes)
+    rows = _shift_rows(code)
+    lanes = rows.shape[0]
     # Low bits become one in-memory block of XOR combinations.
     h_cap = max(1, (_BLOCK_BYTES // (8 * lanes)).bit_length() - 1)
     h = min(k, 16, h_cap)
-    combos = np.zeros((1, lanes), dtype=np.uint64)
+    combos = np.zeros((lanes, 1), dtype=np.uint64)
     for b in range(h):
-        combos = np.vstack([combos, combos ^ rows[b]])
-    high_rows = rows[h:]
+        combos = np.hstack([combos, combos ^ rows[:, b, None]])
+    high_rows = rows[:, h:]
     r = k - h
 
     total = 1 << r
@@ -275,7 +268,7 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
 
 def _systematic_parity(code: CyclicCode) -> np.ndarray:
     """Parity parts x^(r+i) mod g (r = n - k, i < k) of the systematic
-    rows x^(r+i) + (x^(r+i) mod g), as a (k, lanes) array of uint64 lanes."""
+    rows x^(r+i) + (x^(r+i) mod g), as a (lanes, k) block."""
     k = code.dimension
     r = code.n - k
     g = code.generator
@@ -298,16 +291,16 @@ def _extend_tails(tails: list, rows: np.ndarray) -> None:
     lists its subsets in lexicographic order, so entry ``idx`` of the
     t-subset table is the ``idx``-th t-subset of ``range(k)``.
     """
-    k = rows.shape[0]
+    k = rows.shape[1]
     if not tails:
         tails.append((rows, np.arange(k + 1)))
         return
     prev, prev_off = tails[-1]
-    counts = len(prev) - prev_off[1:]  # subsets that start after row i
+    counts = prev.shape[1] - prev_off[1:]  # subsets that start after row i
     offsets = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     after = np.arange(offsets[-1]) + np.repeat(prev_off[1:] - offsets[:-1], counts)
-    tails.append((np.take(prev, after, axis=0) ^ np.repeat(rows, counts, axis=0), offsets))
+    tails.append((np.take(prev, after, axis=1) ^ np.repeat(rows, counts, axis=1), offsets))
 
 
 def _subset_blocks(rows: np.ndarray, tails: list, w: int):
@@ -321,7 +314,7 @@ def _subset_blocks(rows: np.ndarray, tails: list, w: int):
     after ``head[-1]``.  ``tails`` caches the tables (see
     :func:`_extend_tails`) across calls on the same rows.
     """
-    k, lanes = rows.shape
+    lanes, k = rows.shape
     t = 1
     while t < min(w, k) and comb(k, t + 1) * lanes <= _TAIL_WORDS:
         t += 1
@@ -330,11 +323,11 @@ def _subset_blocks(rows: np.ndarray, tails: list, w: int):
     table, offsets = tails[t - 1]
     for head in combinations(range(k - t), w - t):
         start = int(offsets[head[-1] + 1]) if head else 0
-        block = table[start:]
+        block = table[:, start:]
         if len(head) == 1:
-            block = block ^ rows[head[0]]
+            block = block ^ rows[:, head[0], None]
         elif head:
-            block = block ^ np.bitwise_xor.reduce(rows[list(head)], axis=0)
+            block = block ^ np.bitwise_xor.reduce(rows[:, list(head)], axis=1, keepdims=True)
         yield head, start, block
 
 
@@ -397,12 +390,12 @@ def proven_min_distance(code: CyclicCode) -> DistanceResult:
         _refuse_past_limit(n, k, w)
         for head, start, block in _subset_blocks(parity, tails, w):
             counts = _popcount(block)
-            scored += len(block)
+            scored += len(counts)
             hit = int(np.argmin(counts))
             if int(counts[hit]) + w < best_w:
                 best_w = int(counts[hit]) + w
                 tail = next(islice(combinations(range(k), w - len(head)), start + hit, None))
-                best_wit = sum(1 << (r + i) for i in head + tail) | _lanes_to_int(block[hit])
+                best_wit = sum(1 << (r + i) for i in head + tail) | _lanes_to_int(block[:, hit])
         w_done = w
 
     if scored != _combinations_through(k, w_done):
@@ -442,10 +435,10 @@ def verify_distance_certificate(code: CyclicCode, result: DistanceResult) -> Non
 
 
 def _reduce_batch(rows: np.ndarray, perms: np.ndarray):
-    """Gauss-Jordan reduce the (k, lanes) row matrix once per column order.
+    """Gauss-Jordan reduce the (lanes, k) row block once per column order.
 
-    ``perms`` is a (B, n) array of column orders.  Yields B (k, lanes)
-    arrays: basis b holds, in row i, the one word of the row space with a
+    ``perms`` is a (B, n) array of column orders.  Yields B (lanes, k)
+    blocks: basis b holds, in word i, the one word of the row space with a
     1 in the i-th column of b's information set (the first k independent
     columns of ``perms[b]``) and 0 in its other columns.  That basis is
     fixed by the greedy pivot order alone, so it is the one a row-swapping
@@ -461,8 +454,8 @@ def _reduce_batch(rows: np.ndarray, perms: np.ndarray):
     columns before it has k pivots.
     """
     batch, n = perms.shape
-    k = rows.shape[0]
-    basis = np.repeat(rows.T[:, None, :], batch, axis=1)
+    k = rows.shape[1]
+    basis = np.repeat(rows[:, None, :], batch, axis=1)
     free = np.ones((batch, k), dtype=bool)
     order = np.zeros((batch, k), dtype=np.intp)
     filled = np.zeros(batch, dtype=np.intp)
@@ -488,7 +481,7 @@ def _reduce_batch(rows: np.ndarray, perms: np.ndarray):
     if filled.min() < k:
         raise SearchError("generator matrix lost rank during reduction")
     for b in range(batch):
-        yield np.ascontiguousarray(basis[:, b, order[b]].T)
+        yield basis[:, b, order[b]]
 
 
 def low_weight_search(
@@ -516,9 +509,8 @@ def low_weight_search(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n, k = code.n, code.dimension
-    lanes = (n + 63) // 64
-    rows = _to_lanes([code.generator << i for i in range(k)], lanes)
-    batch = max(1, _TAIL_WORDS // (k * lanes + n))
+    rows = _shift_rows(code)
+    batch = max(1, _TAIL_WORDS // (rows.size + n))
     rng = np.random.default_rng(seed)
 
     best_w = 1 << 30
@@ -534,7 +526,7 @@ def low_weight_search(
                     counts = _popcount(block)
                     low = int(counts.min())
                     if low <= best_w:
-                        hit = (low, _lightest(block, counts, low))
+                        hit = (low, _smallest(block, np.flatnonzero(counts == low)))
                         best_w, best_wit = min((best_w, best_wit), hit)
 
     _check_witness(code, best_w, best_wit)

@@ -115,6 +115,15 @@ class TestBuildTable:
         assert table.leaders_of_size(2) == (21,)
         assert all(type(v) is int for v in table.leaders_of_size(6))
 
+    def test_leaders_in(self):
+        table = build_table(6)
+        assert table.leaders_in(slice(1, 6)) == (1, 3, 5)
+        assert table.leaders_in(slice(0, 0)) == ()
+        mask = table.union_mask((9, 21))
+        mask[7] = True  # one member of C_7 alone meets it
+        assert table.leaders_in(mask) == (7, 9, 21)
+        assert all(type(v) is int for v in table.leaders_in(mask))
+
     @pytest.mark.parametrize("m", range(2, 15))
     def test_every_leader_is_the_orbit_minimum(self, m):
         table = build_table(m)

@@ -39,6 +39,7 @@ from bincyclic.distance import (
     _lanes_to_int,
     _popcount,
     _scan_range,
+    _smallest,
     _subset_blocks,
     _to_lanes,
     auto_distance,
@@ -186,7 +187,8 @@ class TestParallelDeterminism:
 def _reference_scan_range(combos, high_rows, t_start, t_stop, skip_zero):
     """The Gray sweep's earlier per-step body, kept as the kernel's
     reference: fresh XOR and popcount arrays at every step, int64 weights
-    and a separate one-lane branch."""
+    and a separate one-lane branch, on the row-major transpose of the blocks."""
+    combos, high_rows = combos.T, high_rows.T
     lanes = combos.shape[1]
     base = np.zeros(lanes, dtype=np.uint64)
     gray = t_start ^ (t_start >> 1)
@@ -232,10 +234,10 @@ def _sweep_inputs(code, h):
     """The Gray sweep's block of 2^h low-bit combinations and its high rows."""
     lanes = (code.n + 63) // 64
     rows = _to_lanes([code.generator << i for i in range(code.dimension)], lanes)
-    combos = np.zeros((1, lanes), dtype=np.uint64)
+    combos = np.zeros((lanes, 1), dtype=np.uint64)
     for b in range(h):
-        combos = np.vstack([combos, combos ^ rows[b]])
-    return combos, rows[h:]
+        combos = np.hstack([combos, combos ^ rows[:, b, None]])
+    return combos, rows[:, h:]
 
 
 def _codes_of_dimension(m, dims, seed):
@@ -291,7 +293,7 @@ class TestScanRangeKernel:
     def test_matches_reference_on_one_lane(self):
         for code in _codes_of_dimension(6, range(17, 23), 93):
             combos, high_rows = _sweep_inputs(code, 10)
-            for lo, hi in _segments(1 << len(high_rows)):
+            for lo, hi in _segments(1 << high_rows.shape[1]):
                 got = _scan_range(combos, high_rows, lo, hi)
                 want = _reference_scan_range(combos, high_rows, lo, hi, lo == 0)
                 assert got == want, (code.dimension, lo, hi)
@@ -300,8 +302,8 @@ class TestScanRangeKernel:
     def test_matches_reference_on_many_lanes(self, lanes):
         code = _two_lane_code() if lanes == 2 else _four_lane_code()
         combos, high_rows = _sweep_inputs(code, 6)
-        assert combos.shape[1] == lanes
-        for lo, hi in _segments(1 << len(high_rows)):
+        assert combos.shape[0] == lanes
+        for lo, hi in _segments(1 << high_rows.shape[1]):
             got = _scan_range(combos, high_rows, lo, hi)
             assert got == _reference_scan_range(combos, high_rows, lo, hi, lo == 0), (lo, hi)
 
@@ -348,13 +350,12 @@ class TestScanRangeKernel:
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("start", [0, 5])
     def test_leaves_its_inputs_unchanged(self, lanes, start):
-        # with one lane the transpose of combos is contiguous already, so only
-        # a copy keeps the sweep from writing into the workers' shared block
+        # only a copy keeps the sweep from writing into the workers' shared block
         code = _codes_of_dimension(6, (20,), 95)[0] if lanes == 1 else _two_lane_code()
         combos, high_rows = _sweep_inputs(code, 8)
-        assert combos.shape[1] == lanes
+        assert combos.shape[0] == lanes
         before = combos.tobytes(), high_rows.tobytes()
-        total = 1 << len(high_rows)
+        total = 1 << high_rows.shape[1]
         first = _scan_range(combos, high_rows, start, total)
         assert (combos.tobytes(), high_rows.tobytes()) == before
         assert _scan_range(combos, high_rows, start, total) == first
@@ -365,11 +366,11 @@ class TestScanRangeKernel:
         mask = build_table(6).union_mask([1, 3, 5, 7, 11, 13, 15])
         code = assemble(DefiningSet.from_mask(63, mask, {"construction": "random"}))
         combos, high_rows = _sweep_inputs(code, 16)
-        rows = combos.shape[0]
-        assert (rows, len(high_rows)) == (1 << 16, 5)
+        rows = combos.shape[1]
+        assert (rows, high_rows.shape[1]) == (1 << 16, 5)
         tracemalloc.start()
         try:
-            _scan_range(combos, high_rows, 0, 1 << len(high_rows))
+            _scan_range(combos, high_rows, 0, 1 << high_rows.shape[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,7 +400,7 @@ def test_scan_range_matches_the_reference_on_random_sets(data):
     assert code.dimension == k
     h = data.draw(st.integers(1, min(k, 10)), label="h")
     combos, high_rows = _sweep_inputs(code, h)
-    total = 1 << len(high_rows)
+    total = 1 << high_rows.shape[1]
     lo = data.draw(st.integers(0, total - 1), label="lo")
     hi = data.draw(st.integers(lo + 1, min(total, lo + 64)), label="hi")
     # the drawn segment, one as long from the zero message, and its first step
@@ -535,10 +536,10 @@ def test_subset_blocks_cover_every_subset_once(monkeypatch, tail_words):
     for lanes in (1, 2, 3):
         words = [rng.getrandbits(64 * lanes) for _ in range(9)]
         rows = _to_lanes(words, lanes)
-        assert [_lanes_to_int(row) for row in rows] == words
+        assert [_lanes_to_int(row) for row in rows.T] == words
         tails = []
         for w in range(1, 10):
-            got = [_lanes_to_int(row) for _, _, block in _subset_blocks(rows, tails, w) for row in block]
+            got = [_lanes_to_int(row) for _, _, block in _subset_blocks(rows, tails, w) for row in block.T]
             want = [functools.reduce(operator.xor, s) for s in itertools.combinations(words, w)]
             assert got == want, (lanes, w)
 
@@ -547,16 +548,32 @@ def test_subset_blocks_cover_every_subset_once(monkeypatch, tail_words):
 @pytest.mark.parametrize("rows", [1, 5, 200, 2000])
 def test_popcount_equals_the_row_sum(lanes, rows):
     rng = np.random.default_rng(rows * 10 + lanes)
-    block = rng.integers(0, 1 << 64, size=(rows, lanes), dtype=np.uint64)
-    block[0] = np.uint64((1 << 64) - 1)  # the heaviest row, 64 * lanes ones
+    block = rng.integers(0, 1 << 64, size=(rows, lanes), dtype=np.uint64).T
+    block[:, 0] = np.uint64((1 << 64) - 1)  # the heaviest word, 64 * lanes ones
     got = _popcount(block)
-    assert np.array_equal(got, np.bitwise_count(block).sum(axis=1))
+    assert np.array_equal(got, np.bitwise_count(block).sum(axis=0))
     assert int(got[0]) == 64 * lanes
 
 
 def test_popcount_of_a_wide_block():
-    block = np.random.default_rng(7).integers(0, 1 << 64, size=(3, 32768), dtype=np.uint64)
-    assert np.array_equal(_popcount(block), np.bitwise_count(block).sum(axis=1))
+    block = np.random.default_rng(7).integers(0, 1 << 64, size=(3, 32768), dtype=np.uint64).T
+    assert np.array_equal(_popcount(block), np.bitwise_count(block).sum(axis=0))
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 16])
+@pytest.mark.parametrize("seed", range(6))
+def test_smallest_is_the_least_hit_word(lanes, seed):
+    rng = np.random.default_rng(100 * lanes + seed)
+    words = int(rng.integers(2, 300))
+    block = rng.integers(0, 1 << 64, size=(lanes, words), dtype=np.uint64)
+    hits = np.sort(rng.choice(words, size=int(rng.integers(2, words + 1)), replace=False))
+    # top lanes of 0 or 1, two hits tied at 0; a tie in the lane below when
+    # it draws from three values, one of them its largest
+    block[-1] = rng.integers(0, 2, size=words)
+    block[-1, hits[:2]] = 0
+    if lanes > 1 and seed % 2:
+        block[-2] = rng.choice(np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64), size=words)
+    assert _smallest(block, hits) == min(_lanes_to_int(block[:, i]) for i in hits)
 
 
 class TestSearchMatchesUnrolledReference:
@@ -651,10 +668,10 @@ def test_reduce_batch_matches_pure_python_gauss_jordan():
         ints = [code.generator << i for i in range(k)]
         perms = np.stack([rng.permutation(n) for _ in range(5)])
         got = list(distance._reduce_batch(_to_lanes(ints, (n + 63) // 64), perms))
-        assert [basis.shape for basis in got] == [(k, (n + 63) // 64)] * 5
+        assert [basis.shape for basis in got] == [((n + 63) // 64, k)] * 5
         for basis, perm in zip(got, perms):
             want, skipped = _gauss_jordan(ints, perm)
-            assert [_lanes_to_int(row) for row in basis] == want, (n, k)
+            assert [_lanes_to_int(row) for row in basis.T] == want, (n, k)
             dependent += skipped
     # the orders meet dependent columns before their bases are full
     assert dependent > 0

@@ -23,14 +23,15 @@ dual's longest run wraps past n - 1; the exhaustive sweep also on the
 empty set, on two-lane codes of length 127, once with two threads, on a
 four-lane [255,18] code with one and two threads, and on a [63,24] code
 with 64 threads asked for; the search also for enough iterations to span several
-reduction batches; the proof engine in JSON and human form, and on an
-[8191,14] code, which assembles a set of 8177 residues), ``verify-paper`` (fast and
-``--all``, JSON and human, a glob that skips a slow fixture and a slow
-fixture named by its exact id), the ``--help`` text of the top-level,
-``analyze`` and ``verify-paper`` parsers and of all ten family parsers
-(``construct`` and ``export`` for each family), and the error cases with
-their exit codes.  A command that ends in ``SystemExit``
-(``--help``) is recorded with the exit code it carried, and one that
+reduction batches, and at depth 3 on the 16-lane [1023,512] code, whose
+prefix walk runs on the widest block; the proof engine in JSON and human
+form, and on an [8191,14] code, which assembles a set of 8177 residues),
+``verify-paper`` (fast and ``--all``, JSON and human, a glob that skips
+a slow fixture and a slow fixture named by its exact id), the ``--help``
+text of the top-level, ``analyze`` and ``verify-paper`` parsers and of
+all ten family parsers (``construct`` and ``export`` for each family),
+and the error cases with their exit codes.  A command that ends in
+``SystemExit`` (``--help``) is recorded with the exit code it carried, and one that
 raises any other exception as ``raised`` and the exception's type, so the
 rest are still recorded; help text is wrapped at ``COLUMNS=80`` whatever
 the terminal.  Every command reads ``STDIN`` on its standard input.
@@ -126,6 +127,8 @@ ENGINE_RUNS = (
     ["export", "even-m", "--m", "6", "--which", "C2", "--engine", "search", "--depth", "1"],
     # searches long enough to span several reduction batches on [1023,512] and [127,64]
     ["export", "two-prime", "--p", "5", "--engine", "search", "--iters", "20", "--depth", "2"],
+    # the widest block, 16 lanes, through the depth-3 prefix walk
+    ["export", "two-prime", "--p", "5", "--engine", "search", "--depth", "3", "--iters", "1"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search", "--iters", "700", "--depth", "1"],
     ["export", "two-prime", "--p", "3", "--engine", "proof", "--output", SCRATCH + "/tp3.json"],
     ["export", "weight-class", "--m", "9", "--i", "1", "--output", SCRATCH + "/wc9.json"],
