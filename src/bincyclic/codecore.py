@@ -152,36 +152,43 @@ def assemble(zset: DefiningSet, *, ctx: Optional[FieldContext] = None) -> Cyclic
     return CyclicCode(n=n, m=m, defining_set=zset, generator=g, parity=h, ctx=ctx)
 
 
+def _run_bounds(zset: DefiningSet) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``(delta, start)`` of the longest run of a non-empty Z and of its
+    dual's, from the cyclic steps s_i = z_(i+1) - z_i between Z's
+    ascending elements (the last wraps: z_0 + n - z_last).  A step s_i > 1
+    ends a run of Z at z_i; the s_i - 1 residues inside it, negated, are a
+    run of -(Z_n \\ Z) that starts at 1 - z_(i+1).  Ties go to the
+    smallest start.  Raises :class:`DegenerateCodeError` for Z = Z_n."""
+    n, z, k = zset.n, zset.elements, len(zset)
+    if k == n:
+        raise DegenerateCodeError("defining set is all of Z_n")
+    steps = np.empty_like(z)
+    np.subtract(z[1:], z[:-1], out=steps[:-1])
+    steps[-1] = z[0] + n - z[-1]
+    widest = int(steps.max())
+    after = (np.flatnonzero(steps == widest) + 1) % k  # z[after] closes a widest step
+    dual_start = int(((1 - z[after]) % n).min())
+    # Z's run lengths: cyclic distances in element indices between run ends
+    ends = np.flatnonzero(steps > 1)
+    runs = steps[: len(ends)]
+    np.subtract(ends[1:], ends[:-1], out=runs[:-1])
+    runs[-1] = ends[0] + k - ends[-1]
+    longest = int(runs.max())
+    if not (1 <= longest < n and 1 <= widest - 1 < n):
+        raise InvariantError(f"run lengths {longest}, {widest - 1} outside [1, {n})")
+    start = int(z[(ends[runs == longest] + 1) % k].min())
+    return (longest + 1, start), (widest, dual_start)
+
+
 def bch_run(zset: DefiningSet) -> tuple[int, Optional[int]]:
     """Longest run of consecutive residues in Z, cyclically.
 
     Returns ``(delta, start)`` where delta - 1 is the run length and
     ``start`` is the smallest starting residue achieving it (None when
     Z is empty).  Any cyclic code with Z in its defining set has minimum
-    distance >= delta.
+    distance >= delta.  It is read from Z's elements, with no mask.
     """
-    n = zset.n
-    if len(zset) == 0:
-        return 1, None
-    if len(zset) == n:
-        raise DegenerateCodeError("defining set is all of Z_n")
-    return _run_between(np.flatnonzero(~zset.mask()), n)
-
-
-def _run_between(gaps: np.ndarray, n: int) -> tuple[int, int]:
-    """``bch_run`` of the set whose complement in Z_n is ``gaps``: an
-    ascending int64 array, neither empty nor all of Z_n."""
-    # The run after gap i ends at gap i + 1; the run after the last gap
-    # wraps past n - 1 to the first gap.
-    lengths = np.empty_like(gaps)
-    np.subtract(gaps[1:], gaps[:-1], out=lengths[:-1])
-    lengths[-1] = n + gaps[0] - gaps[-1]
-    lengths -= 1
-    best_len = int(lengths.max())
-    if not 1 <= best_len < n:
-        raise InvariantError(f"run length {best_len} outside [1, {n})")
-    best_start = int(((gaps[lengths == best_len] + 1) % n).min())
-    return best_len + 1, best_start
+    return _run_bounds(zset)[0] if len(zset) else (1, None)
 
 
 def bch_lower_bound(zset: DefiningSet) -> int:
@@ -195,24 +202,15 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
     bound, as the ``code`` object of the JSON envelope.  ``defining_set``
     is the set's own read-only int64 ``elements`` array, not a copy.
 
-    The dual set -(Z_n \\ Z) is not built: it has n - |Z| residues, and its
-    complement is -Z, so its run bound is read from -Z, which is Z's
-    elements negated in reverse order (0 first when 0 is in Z).
+    The dual set -(Z_n \\ Z) is not built: it has n - |Z| residues, and
+    one scan of Z's cyclic steps gives both run bounds.
     """
     n = zset.n
-    delta, start = bch_run(zset)
     dual_size = n - len(zset)
-    if len(zset) == 0:
-        # the dual is the zero code, whose "distance" is the vacuous n + 1
-        # (one run covering the whole circle)
-        dual_delta, dual_start = n + 1, 0
-    else:
-        elements = zset.elements
-        has_zero = int(elements[0] == 0)
-        dual_gaps = np.empty_like(elements)
-        dual_gaps[:has_zero] = 0
-        np.subtract(n, elements[has_zero:][::-1], out=dual_gaps[has_zero:])
-        dual_delta, dual_start = _run_between(dual_gaps, n)
+    # the dual of the empty set is the zero code, whose "distance" is the
+    # vacuous n + 1 (one run covering the whole circle)
+    bounds = _run_bounds(zset) if len(zset) else ((1, None), (n + 1, 0))
+    (delta, start), (dual_delta, dual_start) = bounds
     return {
         "n": n,
         "m": (n + 1).bit_length() - 1,

@@ -56,6 +56,8 @@ class CosetTable:
 
     def size_of(self, x: int) -> int:
         """Size of the coset containing residue ``x``."""
+        if not 0 <= x < self.n:
+            raise ValueError(f"residue {x} out of range for modulus {self.n}")
         leader = int(self.leader_of[x])
         return int(self.sizes[np.searchsorted(self.leaders, leader)])
 

@@ -33,7 +33,7 @@ from bincyclic.constructions import (
     build_sqrt_complement,
     build_two_prime,
 )
-from bincyclic.cosets import build_table
+from bincyclic.cosets import build_table, negated_mask
 from bincyclic.fixtures import EXAMPLE1_Z1, EXAMPLE1_Z2, SQRT_M5_Z
 from bincyclic.gf2 import make_field, minimal_polynomials, poly_degree, poly_mul
 
@@ -387,6 +387,10 @@ class TestBchRunFromGaps:
                 continue
             z = _raw_set(mask)
             assert bch_run(z) == _tiled_bch_run(z), np.flatnonzero(mask).tolist()
+            if mask.any():  # the empty set's dual is the zero code
+                dual = describe(z)["dual"]
+                want = _tiled_bch_run(_raw_set(negated_mask(~mask)))
+                assert (dual["bch_lower_bound"], dual["bch_interval_start"]) == want
 
     def test_closed_sets_match_the_tiled_oracle(self):
         for m in (3, 4, 5, 6, 8):
@@ -513,17 +517,27 @@ class TestDescribe:
         # whose longest run, 9..14 and 0, wraps past n - 1
         assert self._check_dual(_set(15, (7, 11, 13, 14))) == (8, 9)
 
-    def test_describe_makes_no_array_as_long_as_z_n(self):
-        # about two int64 arrays of |Z| (the gaps and their run lengths) and
-        # a boolean mask or two over Z_n; building the dual set made about four
+    @staticmethod
+    def _peak_in_arrays_of_z(run):
+        # one int64 array of Z's cyclic steps, reused for the runs' lengths,
+        # the run ends and a boolean or two over Z; no mask over Z_n and no
+        # array of the dual's residues
         z, _, _ = build_even_m(18)
         tracemalloc.start()
         try:
-            describe(z)
+            run(z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * z.elements.nbytes + 2 * z.n, f"peak {peak / 2**20:.2f} MB"
+        return peak / z.elements.nbytes
+
+    def test_describe_makes_no_array_as_long_as_z_n(self):
+        peak = self._peak_in_arrays_of_z(describe)
+        assert peak < 2, f"peak {peak:.2f} arrays of |Z|"
+
+    def test_bch_run_makes_no_array_as_long_as_z_n(self):
+        peak = self._peak_in_arrays_of_z(bch_run)
+        assert peak < 2, f"peak {peak:.2f} arrays of |Z|"
 
     def test_keys_in_envelope_order(self):
         # dict equality ignores order; the JSON envelope does not

@@ -65,6 +65,14 @@ class TestBuildTable:
             assert table.members(leader) == members
             assert table.size_of(leader) == len(members)
 
+    @pytest.mark.parametrize("x", [-1, 15])
+    def test_residues_outside_z_n_are_refused(self, x):
+        # -1 must not wrap round to residue 14, nor 15 reach numpy's IndexError
+        table = build_table(4)
+        for lookup in (table.size_of, table.members):
+            with pytest.raises(ValueError, match="out of range"):
+                lookup(x)
+
     def test_m5_leaders(self):
         assert tuple(int(x) for x in build_table(5).leaders) == (0, 1, 3, 5, 7, 11, 15)
 

@@ -19,9 +19,11 @@ and ``--i``), ``--elements-only`` at m = 20 and the m = 22 ``export``
 written to an ``--output`` file, ``analyze`` and ``export`` with each
 distance engine (``analyze -`` reading its residues from stdin, in human
 and JSON form; a [31,20] code whose set holds 0 and a [31,21] code whose
-dual's longest run wraps past n - 1; the exhaustive sweep also on the
-empty set, on two-lane codes of length 127, once with two threads, on a
-four-lane [255,18] code with one and two threads, and on a [63,24] code
+dual's longest run wraps past n - 1, the [31,30] code of Z = {0} by
+the proof engine and the [31,1] code of Z_31 minus {0} by the sweep; the
+exhaustive sweep also on the empty set, on two-lane codes of length 127,
+once with two threads, on a four-lane [255,18] code with one and two
+threads, and on a [63,24] code
 with 64 threads asked for; the search also for enough iterations to span several
 reduction batches, and at depth 3 on the 16-lane [1023,512] code, whose
 prefix walk runs on the widest block; the proof engine in JSON and human
@@ -119,6 +121,10 @@ ENGINE_RUNS = (
     # dual's longest run, 29..6, wraps past n - 1
     ["analyze", SCRATCH + "/m5z0.txt", "--m", "5", "--engine", "proof", "--json"],
     ["analyze", SCRATCH + "/m5wrap.txt", "--m", "5", "--engine", "exhaustive", "--json"],
+    # Z = {0}, one step of n: [31,30,2], whose dual run of 31 starts at 1;
+    # Z_31 minus {0}: [31,1,31], one run of 30 after the gap at 0, dual {0}
+    ["analyze", SCRATCH + "/m5zero.txt", "--m", "5", "--engine", "proof", "--json"],
+    ["analyze", SCRATCH + "/m5nonzero.txt", "--m", "5", "--engine", "exhaustive", "--json"],
     ["export", "sqrt", "--m", "5", "--engine", "proof"],
     ["export", "sqrt", "--m", "5", "--engine", "exhaustive", "--threads", "2"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search",
@@ -219,7 +225,7 @@ def record(outdir: Path, run_command) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         # analyze reads residues from files: the [15,7] code, the empty set, two-prime
         # p = 3's [63,32], a [63,24] code, two codes of length 127, one of length 255,
-        # one of length 8191, two of length 31 and one residue past int64
+        # one of length 8191, four of length 31 and one residue past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
         Path(scratch, "empty.txt").write_text("", encoding="utf-8")
@@ -231,6 +237,8 @@ def record(outdir: Path, run_command) -> int:
         Path(scratch, "m13k14.txt").write_text(_residues_outside(13, (0, 1)), encoding="utf-8")
         Path(scratch, "m5z0.txt").write_text(_residues_outside(5, (5, 7, 11, 15)), encoding="utf-8")
         Path(scratch, "m5wrap.txt").write_text(_residues_outside(5, (0, 1, 7, 11, 15)), encoding="utf-8")
+        Path(scratch, "m5zero.txt").write_text("0", encoding="utf-8")
+        Path(scratch, "m5nonzero.txt").write_text(_residues_outside(5, (0,)), encoding="utf-8")
         Path(scratch, "huge.txt").write_text("1 2 4 8 99999999999999999999999", encoding="utf-8")
         cmds = commands()
         for i, template in enumerate(cmds):
