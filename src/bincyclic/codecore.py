@@ -152,16 +152,20 @@ def assemble(zset: DefiningSet, *, ctx: Optional[FieldContext] = None) -> Cyclic
     return CyclicCode(n=n, m=m, defining_set=zset, generator=g, parity=h, ctx=ctx)
 
 
-def _run_bounds(zset: DefiningSet) -> tuple[tuple[int, int], tuple[int, int]]:
-    """``(delta, start)`` of the longest run of a non-empty Z and of its
-    dual's, from the cyclic steps s_i = z_(i+1) - z_i between Z's
-    ascending elements (the last wraps: z_0 + n - z_last).  A step s_i > 1
-    ends a run of Z at z_i; the s_i - 1 residues inside it, negated, are a
-    run of -(Z_n \\ Z) that starts at 1 - z_(i+1).  Ties go to the
-    smallest start.  Raises :class:`DegenerateCodeError` for Z = Z_n."""
+def _run_bounds(zset: DefiningSet) -> tuple[tuple[int, Optional[int]], tuple[int, int]]:
+    """``(delta, start)`` of the longest run of Z and of its dual's, from
+    the cyclic steps s_i = z_(i+1) - z_i between Z's ascending elements
+    (the last wraps: z_0 + n - z_last).  A step s_i > 1 ends a run of Z at
+    z_i; the s_i - 1 residues inside it, negated, are a run of
+    -(Z_n \\ Z) that starts at 1 - z_(i+1).  Ties go to the smallest
+    start.  The empty Z has no run, ``(1, None)``, and its dual is the
+    zero code, whose vacuous ``(n + 1, 0)`` is one run covering the whole
+    circle.  Raises :class:`DegenerateCodeError` for Z = Z_n."""
     n, z, k = zset.n, zset.elements, len(zset)
     if k == n:
         raise DegenerateCodeError("defining set is all of Z_n")
+    if k == 0:
+        return (1, None), (n + 1, 0)
     steps = np.empty_like(z)
     np.subtract(z[1:], z[:-1], out=steps[:-1])
     steps[-1] = z[0] + n - z[-1]
@@ -188,7 +192,7 @@ def bch_run(zset: DefiningSet) -> tuple[int, Optional[int]]:
     Z is empty).  Any cyclic code with Z in its defining set has minimum
     distance >= delta.  It is read from Z's elements, with no mask.
     """
-    return _run_bounds(zset)[0] if len(zset) else (1, None)
+    return _run_bounds(zset)[0]
 
 
 def bch_lower_bound(zset: DefiningSet) -> int:
@@ -203,14 +207,12 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
     is the set's own read-only int64 ``elements`` array, not a copy.
 
     The dual set -(Z_n \\ Z) is not built: it has n - |Z| residues, and
-    one scan of Z's cyclic steps gives both run bounds.
+    one scan of Z's cyclic steps gives both run bounds, the empty set's
+    included.
     """
     n = zset.n
     dual_size = n - len(zset)
-    # the dual of the empty set is the zero code, whose "distance" is the
-    # vacuous n + 1 (one run covering the whole circle)
-    bounds = _run_bounds(zset) if len(zset) else ((1, None), (n + 1, 0))
-    (delta, start), (dual_delta, dual_start) = bounds
+    (delta, start), (dual_delta, dual_start) = _run_bounds(zset)
     return {
         "n": n,
         "m": (n + 1).bit_length() - 1,

@@ -69,10 +69,10 @@ class DefiningSet:
             raise ValueError(f"modulus must be odd, got {n}")
         if np.shape(mask) != (n,):
             raise ValueError(f"mask of shape {np.shape(mask)} does not cover Z_{n}")
-        # entry x of ``doubled`` is mask[2x mod n]: for odd n, x < (n+1)/2
-        # reads the even residues and the rest the odd ones
-        doubled = np.concatenate((mask[0::2], mask[1::2]))
-        if (mask & ~doubled).any():
+        # for odd n, x < (n+1)/2 doubles to 2x and the rest to 2x - n: each
+        # half is compared in place with the even or the odd residues
+        half = (n + 1) // 2
+        if np.greater(mask[:half], mask[0::2]).any() or np.greater(mask[half:], mask[1::2]).any():
             raise ValueError("set is not closed under doubling mod n")
         elements = np.flatnonzero(mask).astype(np.int64, copy=False)
         elements.setflags(write=False)

@@ -213,18 +213,15 @@ def classify_by_size(table: CosetTable, p1: int, p2: int) -> dict[int, tuple[int
     if by_size.get(1) != (0,):
         raise InvariantError("the only fixed point of doubling is 0")
 
-    if p1 == 2:
-        if by_size.get(2) != (n // 3,) or coset_of(n // 3, n) != {n // 3, 2 * n // 3}:
-            raise InvariantError(f"the only coset of size 2 must be {{{n // 3}, {2 * n // 3}}}")
-        census = {p2: (2**p2 - 2) // p2, m: (2**m - 2**p2 - 2) // m}
-    else:
-        census = {p1: (2**p1 - 2) // p1, p2: (2**p2 - 2) // p2,
-                  m: (2**m - 2**p1 - 2**p2 + 2) // m}
+    if p1 == 2 and (by_size.get(2) != (n // 3,) or coset_of(n // 3, n) != {n // 3, 2 * n // 3}):
+        raise InvariantError(f"the only coset of size 2 must be {{{n // 3}, {2 * n // 3}}}")
+    census = {p1: (2**p1 - 2) // p1, p2: (2**p2 - 2) // p2,
+              m: (2**m - 2**p1 - 2**p2 + 2) // m}
     for size, count in census.items():
         found = len(by_size.get(size, ()))
         if found != count:
             raise InvariantError(f"{found} cosets of size {size}, expected {count}")
-    unexpected = set(by_size) - {1, p1} - set(census)
+    unexpected = set(by_size) - {1} - set(census)
     if unexpected:
         raise InvariantError(f"unexpected coset sizes {unexpected}")
 

@@ -180,16 +180,9 @@ def _scan_range(
     canonical witness among the lightest words.
     """
     lanes, rows = combos.shape
-    base = np.zeros(lanes, dtype=np.uint64)
     gray = t_start ^ (t_start >> 1)
-    j = 0
-    while gray >> j:
-        if (gray >> j) & 1:
-            base ^= high_rows[:, j]
-        j += 1
-
-    words = combos.copy()
-    words ^= base[:, None]
+    toggled = (gray >> np.arange(high_rows.shape[1])) & 1 == 1
+    words = combos ^ np.bitwise_xor.reduce(high_rows[:, toggled], axis=1, keepdims=True)
     weights = np.empty(rows, dtype=np.min_scalar_type(64 * lanes + 1))
     lane_counts = np.empty(rows, dtype=np.uint8) if lanes > 1 else None
     best_w = 1 << 30

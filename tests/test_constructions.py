@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from bincyclic.constructions import (
     DefiningSet,
     SelectionError,
     build_even_m,
+    build_family,
     build_odd_pq,
     build_sqrt_complement,
     build_two_prime,
@@ -83,6 +85,26 @@ class TestDefiningSet:
                     assert not closed and "doubling" in str(exc), elements
                 else:
                     assert closed and np.array_equal(z.elements, elements), elements
+
+    @pytest.mark.parametrize("m", [14, 18])
+    def test_closure_check_copies_no_mask(self, m):
+        # the check compares halves of the mask in place: beside the
+        # elements array, no transient reaches a quarter of n bytes
+        _, z2, _ = build_even_m(m)
+        mask = z2.mask()
+        tracemalloc.start()
+        try:
+            z = DefiningSet.from_mask(z2.n, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z == z2
+        assert peak <= z.elements.nbytes + z.n // 4, f"peak {peak} bytes"
+
+    def test_compares_unequal_to_other_types(self):
+        z = DefiningSet.from_elements(15, (5, 10))
+        assert z.__eq__(5) is NotImplemented
+        assert (z == 5) is False
 
     def test_rejects_an_even_modulus(self):
         with pytest.raises(ValueError, match="odd"):
@@ -217,6 +239,10 @@ class TestOddPq:
         with pytest.raises(ValueError):
             build_odd_pq(*pair)
 
+    def test_rejects_pairs_past_the_table_cap(self):
+        with pytest.raises(ValueError, match=r"p1\*p2 = 33 exceeds the table cap 24"):
+            build_odd_pq(3, 11)
+
 
 class TestSqrtComplement:
     def test_m5_default(self):
@@ -341,6 +367,10 @@ class TestOrigins:
         dual = dual_defining_set(z)
         assert dual.origin["construction"] == "dual"
         assert dual.origin["of"]["construction"] == "two-prime"
+
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(ValueError, match="unknown construction tag 'nope'"):
+            build_family("nope")
 
 
 CORRUPTED_BUILDER_SCRIPT = """

@@ -56,6 +56,11 @@ class TestCosetOf:
                 orbit = coset_of(x, n)
                 assert {(2 * y) % n for y in orbit} == orbit
 
+    @pytest.mark.parametrize("n", [8, 0])
+    def test_rejects_a_modulus_that_is_not_odd_and_positive(self, n):
+        with pytest.raises(ValueError, match="odd and positive"):
+            coset_of(1, n)
+
 
 class TestBuildTable:
     def test_m6_decomposition_matches_frozen_oracle(self):
@@ -274,6 +279,15 @@ class TestClassification:
         assert sizes[5] == (1057, 3171, 5285, 7399, 11627, 15855)
         assert len(sizes[15]) == 2182
 
+    @pytest.mark.parametrize("p1, p2", [(3, 2), (1, 6)])
+    def test_rejects_pairs_that_are_not_ascending_primes(self, p1, p2):
+        with pytest.raises(ValueError, match="need primes p1 < p2"):
+            classify_by_size(build_table(6), p1, p2)
+
+    def test_rejects_a_table_of_another_m(self):
+        with pytest.raises(ValueError, match="table has m=6, expected p1\\*p2=15"):
+            classify_by_size(build_table(6), 3, 5)
+
 
 CORRUPTED_TABLE_SCRIPT = """
 import numpy as np
@@ -313,6 +327,9 @@ cosets._rotation_periods = lambda leaders, m: 2 * periods(leaders, m)
 print(raises(lambda: build_table(6)))
 cosets._rotation_periods = lambda leaders, m: periods(leaders, m)[leaders != 1]
 print(raises(lambda: build_table(6)))
+# a size-6 coset of m = 6 relabelled as size 3: the two-prime census is off
+sizes = t6.sizes.copy(); sizes[1] = 3
+print(raises(lambda: classify_by_size(altered(t6, t6.leaders, sizes), 2, 3)))
 """
 
 
@@ -330,6 +347,7 @@ def test_corrupted_tables_raise_under_python_O():
         "unexpected coset sizes {7}",
         "coset sizes must divide m",
         "cosets must partition Z_n",
+        "3 cosets of size 3, expected 2",
     ]
 
 

@@ -319,6 +319,20 @@ class TestPolynomialHelpers:
         assert poly_to_hex(0x8FAF) == "faf8"
         assert poly_from_hex("faf8") == 0x8FAF
 
+    def test_division_by_zero_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divrem(1, 0)
+
+    @pytest.mark.parametrize("encode", [poly_to_bitstring, poly_to_hex])
+    def test_negative_values_are_refused(self, encode):
+        with pytest.raises(ValueError, match="negative"):
+            encode(-1)
+
+    @pytest.mark.parametrize("text", ["", "12"])
+    def test_bad_bitstrings_are_refused(self, text):
+        with pytest.raises(ValueError, match="not a bit-string"):
+            poly_from_bitstring(text)
+
 
 @given(a=st.integers(0, 2**96 - 1), b=st.integers(0, 2**96 - 1))
 def test_poly_mul_matches_reference(a, b):

@@ -32,7 +32,8 @@ form, and on an [8191,14] code, which assembles a set of 8177 residues),
 a slow fixture and a slow fixture named by its exact id), the ``--help``
 text of the top-level, ``analyze`` and ``verify-paper`` parsers and of
 all ten family parsers (``construct`` and ``export`` for each family),
-and the error cases with their exit codes.  A command that ends in
+and the error cases with their exit codes (among them a set that is not
+closed under doubling and an ``odd-pq`` pair past the table cap).  A command that ends in
 ``SystemExit`` (``--help``) is recorded with the exit code it carried, and one that
 raises any other exception as ``raised`` and the exception's type, so the
 rest are still recorded; help text is wrapped at ``COLUMNS=80`` whatever
@@ -178,6 +179,8 @@ ERRORS = (
     ["export", "odd-pq", "--p1", "3", "--p2", "5", "--output", SCRATCH + "/no-such-dir/x.json"],
     ["analyze", SCRATCH + "/huge.txt", "--m", "4", "--engine", "proof"],
     ["construct", "sqrt", "--m", "7", "--choose", "21,21,27"],
+    ["analyze", SCRATCH + "/unclosed.txt", "--m", "4"],
+    ["construct", "odd-pq", "--p1", "3", "--p2", "11", "--json"],
 )
 
 
@@ -239,6 +242,7 @@ def record(outdir: Path, run_command) -> int:
         Path(scratch, "m5wrap.txt").write_text(_residues_outside(5, (0, 1, 7, 11, 15)), encoding="utf-8")
         Path(scratch, "m5zero.txt").write_text("0", encoding="utf-8")
         Path(scratch, "m5nonzero.txt").write_text(_residues_outside(5, (0,)), encoding="utf-8")
+        Path(scratch, "unclosed.txt").write_text("1 2 4", encoding="utf-8")
         Path(scratch, "huge.txt").write_text("1 2 4 8 99999999999999999999999", encoding="utf-8")
         cmds = commands()
         for i, template in enumerate(cmds):
