@@ -24,7 +24,7 @@ def main():
     print(f"log/antilog tables: {len(ctx.log_table)} / {len(ctx.antilog_table)} entries")
 
     # every nonzero field element is a power of beta = x
-    beta5 = ctx.pow_beta(5)
+    beta5 = int(ctx.antilog_table[5])
     print(f"beta^5 = {poly_pretty(beta5)};  log(beta^5) = {ctx.log_table[beta5]}")
 
     print("\n2-cyclotomic cosets mod", n)

@@ -77,10 +77,17 @@ class CosetTable:
 
         One gather through ``leader_of`` from a boolean mask of the chosen
         leaders, so repeated leaders are harmless and no copy of
-        ``leader_of`` is made.
+        ``leader_of`` is made.  An entry outside [0, n) or one that is not
+        a coset leader raises ``ValueError``.
         """
+        lead = np.asarray(leaders, dtype=np.int64)
+        bad = (lead < 0) | (lead >= self.n)
+        if not bad.any():
+            bad = self.leader_of[lead] != lead
+        if bad.any():
+            raise ValueError(f"{int(lead[bad][0])} is not a coset leader mod {self.n}")
         pick = np.zeros(self.n, dtype=bool)
-        pick[np.asarray(leaders, dtype=self.leader_of.dtype)] = True
+        pick[lead] = True
         return pick[self.leader_of]
 
 

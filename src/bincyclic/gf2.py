@@ -8,13 +8,15 @@ than -1 so that degree arithmetic on it fails loudly instead of silently.
 
 Extension fields GF(2^m) are represented by a :class:`FieldContext`: a
 primitive modulus polynomial of degree ``m`` together with log/antilog
-tables over the generator ``beta = x``.  Multiplication is two table
-lookups and an addition mod ``2^m - 1``.
+tables over the generator ``beta = x``.  The pipeline works on whole
+arrays of elements: minimal polynomials in batches and polynomial values
+at powers of beta as gathers from the antilog table.
 """
 
 from __future__ import annotations
 
 import functools
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ MAX_FIELD_DEGREE = 24
 def check_field_degree(m: int) -> None:
     """Raise ``ValueError`` unless ``m`` is an int in [2, MAX_FIELD_DEGREE]."""
     if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
-        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m}")
+        raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m!r}")
 
 
 #: Elements per temporary block in :meth:`FieldContext.eval_at_powers`
@@ -111,6 +113,8 @@ def poly_to_hex(a: BinaryPolynomial) -> str:
 
 
 def poly_from_hex(s: str) -> BinaryPolynomial:
+    if not s or set(s) - set(string.hexdigits):
+        raise ValueError(f"not a hex string: {s!r}")
     return int(s[::-1], 16)
 
 
@@ -186,29 +190,14 @@ class FieldContext:
     def n(self) -> int:
         return (1 << self.m) - 1
 
-    def pow_beta(self, k: int) -> int:
-        return int(self.antilog_table[k % self.n])
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        n = self.n
-        k = int(self.log_table[a]) + int(self.log_table[b])
-        if k >= n:
-            k -= n
-        return int(self.antilog_table[k])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self.antilog_table[(self.n - int(self.log_table[a])) % self.n])
-
     def eval_poly(self, poly: BinaryPolynomial, e: int) -> int:
-        """Evaluate a GF(2)[x] polynomial at the field element ``e`` (Horner)."""
-        acc = 0
-        for i in range(poly.bit_length() - 1, -1, -1):
-            acc = self.mul(acc, e) ^ ((poly >> i) & 1)
-        return acc
+        """Evaluate a GF(2)[x] polynomial at the field element ``e``: by
+        :meth:`eval_at_powers` at log(e), or its constant term at e = 0."""
+        if poly < 0:
+            raise ValueError("negative value is not a polynomial encoding")
+        if not 0 <= e <= self.n:
+            raise ValueError(f"field element must lie in [0, {self.n + 1}), got {e!r}")
+        return int(self.eval_at_powers(poly, [self.log_table[e]])[0]) if e else poly & 1
 
     def eval_at_powers(self, poly: BinaryPolynomial, exps) -> np.ndarray:
         """Evaluate a GF(2)[x] polynomial at beta^z for every z in ``exps``.

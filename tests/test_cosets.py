@@ -122,6 +122,12 @@ class TestBuildTable:
             assert mask.dtype == bool
             assert np.array_equal(mask, np.isin(table.leader_of, picked)), picked
 
+    @pytest.mark.parametrize("picked", [[-1], [6], [15], [1, 3, 6], np.array([1, 16])])
+    def test_union_mask_refuses_what_is_not_a_leader(self, picked):
+        # at m = 4, 6 lies in C_3 and -1 and 15 lie outside Z_15
+        with pytest.raises(ValueError, match="not a coset leader mod 15"):
+            build_table(4).union_mask(picked)
+
     def test_leaders_of_size(self):
         table = build_table(6)
         assert table.leaders_of_size(3) == (9, 27)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from field_oracle import horner, inv, mul, pow_beta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,28 +148,40 @@ class TestMakeField:
             seen.add(e)
         assert len(seen) == n
 
+    # The next three tests check the scalar oracle of tests/field_oracle.py.
+
     def test_mul_matches_polynomial_reduction(self):
         ctx = make_field(8)
         for a in (1, 2, 37, 130, 255):
             for b in (1, 3, 91, 254):
                 direct = poly_mod(poly_mul(a, b), ctx.modulus)
-                assert ctx.mul(a, b) == direct
+                assert mul(ctx, a, b) == direct
 
     def test_mul_zero_and_inverse(self):
         ctx = make_field(6)
-        assert ctx.mul(0, 17) == 0
-        assert ctx.mul(17, 0) == 0
+        assert mul(ctx, 0, 17) == 0
+        assert mul(ctx, 17, 0) == 0
         for a in range(1, ctx.n + 1):
-            assert ctx.mul(a, ctx.inv(a)) == 1
+            assert mul(ctx, a, inv(ctx, a)) == 1
         with pytest.raises(ZeroDivisionError):
-            ctx.inv(0)
+            inv(ctx, 0)
 
     def test_pow_beta_cycles(self):
         ctx = make_field(4)
-        assert ctx.pow_beta(0) == 1
-        assert ctx.pow_beta(1) == 2
-        assert ctx.pow_beta(ctx.n) == 1  # full cycle
-        assert ctx.pow_beta(-1) == ctx.inv(2)
+        assert pow_beta(ctx, 0) == 1
+        assert pow_beta(ctx, 1) == 2
+        assert pow_beta(ctx, ctx.n) == 1  # full cycle
+        assert pow_beta(ctx, -1) == inv(ctx, 2)
+
+    def test_fields_have_no_scalar_helpers(self):
+        ctx = make_field(4)
+        assert not any(hasattr(ctx, name) for name in ("mul", "inv", "pow_beta"))
+
+    def test_degree_error_shows_the_value_as_given(self):
+        with pytest.raises(ValueError, match=r"got np\.int64\(5\)$"):
+            make_field(np.int64(5))
+        with pytest.raises(ValueError, match=r"got '5'$"):
+            make_field("5")
 
 
 class TestMinimalPolynomial:
@@ -191,7 +204,7 @@ class TestMinimalPolynomial:
                 x = (2 * x) % n
             assert poly_degree(mp) == len(orbit)
             for j in range(n):
-                value = ctx.eval_poly(mp, ctx.pow_beta(j))
+                value = horner(ctx, mp, pow_beta(ctx, j))
                 assert (value == 0) == (j in orbit)
 
     def test_minimal_polynomials_are_irreducible(self):
@@ -279,7 +292,7 @@ class TestEvalAtPowers:
         for block in (1, 5, 64):
             monkeypatch.setattr(gf2, "EVAL_BLOCK", block)
             assert np.array_equal(ctx.eval_at_powers(g, exps), whole)
-        assert whole.tolist() == [ctx.eval_poly(g, ctx.pow_beta(int(z))) for z in exps]
+        assert whole.tolist() == [horner(ctx, g, pow_beta(ctx, int(z))) for z in exps]
 
     def test_rejects_negative_encoding(self):
         with pytest.raises(ValueError):
@@ -296,7 +309,30 @@ def test_eval_at_powers_matches_horner(data):
     )
     exps = data.draw(st.lists(st.integers(-n, 3 * n), max_size=24), label="exps")
     got = ctx.eval_at_powers(poly, exps)
-    assert got.tolist() == [ctx.eval_poly(poly, ctx.pow_beta(z)) for z in exps]
+    assert got.tolist() == [horner(ctx, poly, pow_beta(ctx, z)) for z in exps]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_eval_poly_matches_horner(data):
+    ctx = make_field(data.draw(st.integers(2, 8), label="m"))
+    poly = data.draw(
+        st.one_of(st.sampled_from([0, 1]), st.integers(0, (1 << (3 * ctx.n + 1)) - 1)), label="poly"
+    )
+    e = data.draw(st.integers(0, ctx.n), label="e")
+    assert ctx.eval_poly(poly, e) == horner(ctx, poly, e)
+
+
+class TestEvalPoly:
+    @pytest.mark.parametrize("e", [-1, 16])
+    def test_element_outside_the_field_is_refused(self, e):
+        with pytest.raises(ValueError, match="field element"):
+            make_field(4).eval_poly(0b111, e)
+
+    def test_negative_encoding_is_refused(self):
+        for e in (0, 3):
+            with pytest.raises(ValueError, match="negative"):
+                make_field(4).eval_poly(-1, e)
 
 
 class TestPolynomialHelpers:
@@ -317,7 +353,7 @@ class TestPolynomialHelpers:
     def test_hex_roundtrip_examples(self):
         # little-endian nibble order: low nibble first
         assert poly_to_hex(0x8FAF) == "faf8"
-        assert poly_from_hex("faf8") == 0x8FAF
+        assert poly_from_hex("faf8") == poly_from_hex("FAF8") == 0x8FAF
 
     def test_division_by_zero_is_refused(self):
         with pytest.raises(ZeroDivisionError):
@@ -332,6 +368,11 @@ class TestPolynomialHelpers:
     def test_bad_bitstrings_are_refused(self, text):
         with pytest.raises(ValueError, match="not a bit-string"):
             poly_from_bitstring(text)
+
+    @pytest.mark.parametrize("text", ["", "1+", " f", "f ", "1_0", "-1", "0x1", "g"])
+    def test_bad_hex_strings_are_refused(self, text):
+        with pytest.raises(ValueError, match="not a hex string"):
+            poly_from_hex(text)
 
 
 @given(a=st.integers(0, 2**96 - 1), b=st.integers(0, 2**96 - 1))
