@@ -19,7 +19,8 @@ Three engines share one result type:
 * :func:`low_weight_search` repeatedly reduces the shift matrix of g on
   a random information set and scores all messages of weight <= depth.
   The reductions run in numpy on batches of iterations at once, each
-  batch bounded by the tail-table ceiling whatever the iteration count.
+  batch bounded by the tail-table ceiling whatever the iteration count,
+  and each batch's bases are scored together, a slice at a time.
   Fast for any dimension, returns an upper bound plus the run bound as
   ``proven_lower_bound``.
 
@@ -52,7 +53,7 @@ from .gf2 import poly_divrem, poly_to_bitstring
 
 #: per-worker scratch ceiling for the combination block, in bytes
 _BLOCK_BYTES = 16 << 20
-#: most uint64 words in one information-weight tail table, C(k, t) * lanes
+#: most uint64 words in one tail table, C(k, t) * lanes for each row set it holds
 _TAIL_WORDS = 1 << 16
 #: ceiling for the information-weight engine's (k, lanes) parity matrix
 _PARITY_BYTES = 64 << 20
@@ -282,45 +283,51 @@ def _extend_tails(tails: list, rows: np.ndarray) -> None:
     t-subset of rows, sorted by first index, and ``offsets[j]``, the
     position of the first subset whose first index is >= j.  Each table
     lists its subsets in lexicographic order, so entry ``idx`` of the
-    t-subset table is the ``idx``-th t-subset of ``range(k)``.
+    t-subset table is the ``idx``-th t-subset of ``range(k)``.  Rows and
+    tables index their subsets on the last axis, so a (lanes, B, k)
+    stack of B row sets gets B tables side by side.
     """
-    k = rows.shape[1]
+    k = rows.shape[-1]
     if not tails:
         tails.append((rows, np.arange(k + 1)))
         return
     prev, prev_off = tails[-1]
-    counts = prev.shape[1] - prev_off[1:]  # subsets that start after row i
+    counts = prev.shape[-1] - prev_off[1:]  # subsets that start after row i
     offsets = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     after = np.arange(offsets[-1]) + np.repeat(prev_off[1:] - offsets[:-1], counts)
-    tails.append((np.take(prev, after, axis=1) ^ np.repeat(rows, counts, axis=1), offsets))
+    tails.append((np.take(prev, after, axis=-1) ^ np.repeat(rows, counts, axis=-1), offsets))
 
 
 def _subset_blocks(rows: np.ndarray, tails: list, w: int):
     """Yield ``(head, start, block)`` so that the blocks hold the XOR of
     every w-subset of ``rows`` exactly once, in lexicographic order.
 
-    With t the largest weight <= w whose subset table holds at most
-    ``_TAIL_WORDS`` uint64 words, ``block`` is the XOR of the rows in
-    ``head`` (a (w - t)-subset, walked in lexicographic order) with every
-    t-subset table entry from ``start`` on, i.e. every t-subset of rows
-    after ``head[-1]``.  ``tails`` caches the tables (see
-    :func:`_extend_tails`) across calls on the same rows.
+    ``rows`` is a (lanes, k) block or a (lanes, B, k) stack of B of them;
+    subsets index the last axis, so ``block[:, b]`` of a stack holds
+    row set b's XORs.  With t the largest weight <= w whose subset table
+    holds at most ``_TAIL_WORDS`` uint64 words (C(k, t) times the
+    ``rows.size // k`` words per subset), ``block`` is the XOR of the
+    rows in ``head`` (a (w - t)-subset, walked in lexicographic order)
+    with every t-subset table entry from ``start`` on, i.e. every
+    t-subset of rows after ``head[-1]``.  ``tails`` caches the tables
+    (see :func:`_extend_tails`) across calls on the same rows.
     """
-    lanes, k = rows.shape
+    k = rows.shape[-1]
+    words = rows.size // k
     t = 1
-    while t < min(w, k) and comb(k, t + 1) * lanes <= _TAIL_WORDS:
+    while t < min(w, k) and comb(k, t + 1) * words <= _TAIL_WORDS:
         t += 1
     while len(tails) < t:
         _extend_tails(tails, rows)
     table, offsets = tails[t - 1]
     for head in combinations(range(k - t), w - t):
         start = int(offsets[head[-1] + 1]) if head else 0
-        block = table[:, start:]
+        block = table[..., start:]
         if len(head) == 1:
-            block = block ^ rows[:, head[0], None]
+            block = block ^ rows[..., head[0], None]
         elif head:
-            block = block ^ np.bitwise_xor.reduce(rows[:, list(head)], axis=1, keepdims=True)
+            block = block ^ np.bitwise_xor.reduce(rows[..., list(head)], axis=-1, keepdims=True)
         yield head, start, block
 
 
@@ -427,30 +434,30 @@ def verify_distance_certificate(code: CyclicCode, result: DistanceResult) -> Non
         )
 
 
-def _reduce_batch(rows: np.ndarray, perms: np.ndarray):
+def _reduce_batch(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Gauss-Jordan reduce the (lanes, k) row block once per column order.
 
-    ``perms`` is a (B, n) array of column orders.  Yields B (lanes, k)
-    blocks: basis b holds, in word i, the one word of the row space with a
-    1 in the i-th column of b's information set (the first k independent
-    columns of ``perms[b]``) and 0 in its other columns.  That basis is
-    fixed by the greedy pivot order alone, so it is the one a row-swapping
-    loop over the columns leaves.
+    ``perms`` is a (B, n) array of column orders.  Returns the reduced
+    (lanes, B, k) stack: basis b, ``stack[:, b]``, holds the k words of
+    the row space that each have a 1 in one column of b's information set
+    (the first k independent columns of ``perms[b]``) and 0 in its other
+    columns.  That set of words is fixed by the greedy pivot order alone,
+    so it is the one a row-swapping loop over the columns leaves; the
+    words stay in the row slots where they were reduced, not in pivot
+    order.
 
-    The B reductions step through their columns together, on one
-    (lanes, B, k) array so that one gather reads every basis's bit in its
-    next column.  Each step takes, in each basis, the first row not yet a
-    pivot that has the bit, XORs it into the other rows that have the bit
-    (through an all-ones mask, lane by lane: a ``where=`` XOR is several
-    times slower) and records it; each basis is put in pivot order as it
-    is yielded.  Raises :class:`SearchError` if a basis runs out of
-    columns before it has k pivots.
+    The B reductions step through their columns together, so that one
+    gather reads every basis's bit in its next column.  Each step takes,
+    in each basis, the first row not yet a pivot that has the bit, and
+    XORs it into the other rows that have the bit (through an all-ones
+    mask, lane by lane: a ``where=`` XOR is several times slower).
+    Raises :class:`SearchError` if a basis runs out of columns before it
+    has k pivots.
     """
     batch, n = perms.shape
     k = rows.shape[1]
     basis = np.repeat(rows[:, None, :], batch, axis=1)
     free = np.ones((batch, k), dtype=bool)
-    order = np.zeros((batch, k), dtype=np.intp)
     filled = np.zeros(batch, dtype=np.intp)
     at = np.arange(batch)
     one = np.uint64(1)
@@ -467,14 +474,35 @@ def _reduce_batch(rows: np.ndarray, perms: np.ndarray):
         for lane, pivot_words in zip(basis, basis[:, at, pivot]):
             lane ^= np.bitwise_and(bits, pivot_words[:, None], out=masked)
         free[at[took], pivot[took]] = False
-        order[at[took], filled[took]] = pivot[took]
         filled += took
         if filled.min() == k:
             break
     if filled.min() < k:
         raise SearchError("generator matrix lost rank during reduction")
-    for b in range(batch):
-        yield basis[:, b, order[b]]
+    return basis
+
+
+def _batch_best(bases: np.ndarray, depth: int, best: tuple[int, int]) -> tuple[int, int]:
+    """The least of ``best`` and every (weight, word) that XORs at most
+    ``depth`` rows of one basis of a (lanes, B, k) stack.
+
+    The bases are scored a slice at a time, each slice as wide as lets its
+    (depth - 1)-subset table fill at most half of ``_TAIL_WORDS``; the
+    tables and blocks of :func:`_subset_blocks` then hold the whole slice.
+    """
+    lanes, batch, k = bases.shape
+    width = max(1, _TAIL_WORDS // 2 // (comb(k, min(k, depth - 1)) * lanes))  # C(k, j) = 0 for j > k
+    for lo in range(0, batch, width):
+        stack = bases[:, lo:lo + width]
+        tails: list = []
+        for w in range(1, depth + 1):
+            for _, _, block in _subset_blocks(stack, tails, w):
+                words = block.reshape(lanes, -1)
+                counts = _popcount(words)
+                low = int(counts.min())
+                if low <= best[0]:
+                    best = min(best, (low, _smallest(words, np.flatnonzero(counts == low))))
+    return best
 
 
 def low_weight_search(
@@ -489,38 +517,34 @@ def low_weight_search(
     (weight, word) scored, which does not depend on scoring order.
     Deterministic for fixed (seed, iterations, depth), and consuming a
     fixed RNG amount per iteration, so longer runs extend shorter ones.
+    ``seed`` must be a non-negative int (not a bool), else ``ValueError``.
 
     Iterations are reduced in batches by :func:`_reduce_batch`.  A batch
     holds B bases of k x lanes uint64 words and their B column orders of
     n words; B is the largest count that keeps these within the
-    ``_TAIL_WORDS`` that bound a tail table (at least one), so working
-    memory does not grow with ``iterations``.  The other working arrays
-    of a batch hold B * k words or fewer.
+    ``_TAIL_WORDS`` that bound a tail table (at least one).  The batch's
+    bases are then scored together, a slice at a time, by
+    :func:`_batch_best`: a slice's largest table and block stay within
+    ``_TAIL_WORDS``, so working memory does not grow with ``iterations``.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed must be a non-negative int")
     if depth not in (1, 2, 3):
         raise ValueError("depth must be 1, 2, or 3")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    n, k = code.n, code.dimension
+    n = code.n
     rows = _shift_rows(code)
     batch = max(1, _TAIL_WORDS // (rows.size + n))
     rng = np.random.default_rng(seed)
 
-    best_w = 1 << 30
-    best_wit = 0
+    best = (1 << 30, 0)
     for done in range(0, iterations, batch):
         perms = np.empty((min(batch, iterations - done), n), dtype=np.int64)
         for perm in perms:
             perm[:] = rng.permutation(n)
-        for basis in _reduce_batch(rows, perms):
-            tails: list = []
-            for w in range(1, depth + 1):
-                for _, _, block in _subset_blocks(basis, tails, w):
-                    counts = _popcount(block)
-                    low = int(counts.min())
-                    if low <= best_w:
-                        hit = (low, _smallest(block, np.flatnonzero(counts == low)))
-                        best_w, best_wit = min((best_w, best_wit), hit)
+        best = _batch_best(_reduce_batch(rows, perms), depth, best)
+    best_w, best_wit = best
 
     _check_witness(code, best_w, best_wit)
 

@@ -261,6 +261,11 @@ class TestAnalyze:
         assert payload["distance"]["seed"] == 9
         assert payload["distance"]["iterations"] == 50
 
+    def test_negative_seed_is_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 4 8\n"))
+        assert run_command(["analyze", "--m", "4", "--engine", "search", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative int\n"
+
     def test_search_lines_are_the_json_values(self, capsys, monkeypatch):
         argv = ["analyze", "--m", "5", "--engine", "search", "--seed", "3", "--iters", "20"]
         residues = ",".join(map(str, SQRT_M5_Z))

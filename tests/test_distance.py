@@ -457,6 +457,14 @@ class TestSearch:
         with pytest.raises(ValueError, match="iterations"):
             low_weight_search(code_63_32, seed=1, iterations=0)
 
+    @pytest.mark.parametrize("seed", [None, True, False, -1, 2.0, "1"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, code_63_32, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
+            low_weight_search(code_63_32, seed=seed, iterations=5)
+
+    def test_seed_zero_is_a_seed(self, code_63_32):
+        assert low_weight_search(code_63_32, seed=0, iterations=5).seed == 0
+
 
 # -- the search scores through the shared subset enumerator ---------------
 
@@ -530,18 +538,24 @@ def _search_codes():
 
 @pytest.mark.parametrize("tail_words", [1, 40, 1 << 16])
 def test_subset_blocks_cover_every_subset_once(monkeypatch, tail_words):
-    # random 64-bit lanes make equal XORs of distinct subsets vanishingly unlikely
+    # random 64-bit lanes make equal XORs of distinct subsets vanishingly unlikely;
+    # stack None is one (lanes, k) block, else a (lanes, stack, k) stack of row sets
     monkeypatch.setattr("bincyclic.distance._TAIL_WORDS", tail_words)
     rng = random.Random(tail_words)
-    for lanes in (1, 2, 3):
-        words = [rng.getrandbits(64 * lanes) for _ in range(9)]
-        rows = _to_lanes(words, lanes)
-        assert [_lanes_to_int(row) for row in rows.T] == words
+    for lanes, stack in itertools.product((1, 2, 3), (None, 1, 3)):
+        sets = [[rng.getrandbits(64 * lanes) for _ in range(9)] for _ in range(stack or 1)]
+        rows = np.stack([_to_lanes(words, lanes) for words in sets], axis=1)
+        if stack is None:
+            rows = rows[:, 0]
+        assert [_lanes_to_int(row) for row in rows.reshape(lanes, -1).T] == sum(sets, [])
         tails = []
         for w in range(1, 10):
-            got = [_lanes_to_int(row) for _, _, block in _subset_blocks(rows, tails, w) for row in block.T]
-            want = [functools.reduce(operator.xor, s) for s in itertools.combinations(words, w)]
-            assert got == want, (lanes, w)
+            blocks = [block for _, _, block in _subset_blocks(rows, tails, w)]
+            for b, words in enumerate(sets):
+                got = [_lanes_to_int(row) for block in blocks
+                       for row in (block if stack is None else block[:, b]).T]
+                want = [functools.reduce(operator.xor, s) for s in itertools.combinations(words, w)]
+                assert got == want, (lanes, stack, w, b)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3, 8])
@@ -645,6 +659,48 @@ class TestSearchMatchesUnrolledReference:
             assert sizes_seen == sizes, (code.n, code.dimension)
             assert (got.best_weight_found, got.witness) == _unrolled_search(code, 40 + index, 7, 2)
 
+    @pytest.mark.parametrize("index, depth, tail_words, widths", [
+        (6, 2, 7 * (64 * 2 + 127), [6, 1]),  # [127,64]: a batch of 7 in slices of 6 and 1
+        (8, 2, 7 * (129 * 4 + 255), [5, 2]),  # [255,129] on four lanes
+        (6, 3, 6 * math.comb(64, 2) * 2, [3, 3, 1]),
+        (7, 3, 4 * math.comb(63, 2) * 2, [2, 2, 2, 1]),  # [127,63]
+    ])
+    def test_slices_that_do_not_line_up_with_the_batch(self, monkeypatch, index, depth, tail_words, widths):
+        # 7 iterations reduce as one batch; a slice's (depth - 1)-subset
+        # table fills at most half of _TAIL_WORDS
+        monkeypatch.setattr("bincyclic.distance._TAIL_WORDS", tail_words)
+        seen = []
+        subset_blocks = distance._subset_blocks
+
+        def spy(rows, tails, w):
+            if w == 1:
+                seen.append(rows.shape[1])
+            return subset_blocks(rows, tails, w)
+
+        monkeypatch.setattr("bincyclic.distance._subset_blocks", spy)
+        code = _search_codes()[index]
+        got = low_weight_search(code, seed=60 + index, iterations=7, depth=depth)
+        assert seen == widths
+        assert (got.best_weight_found, got.witness) == _unrolled_search(code, 60 + index, 7, depth)
+
+    def test_memory_is_bounded_whatever_the_iteration_count(self):
+        code = assemble(build_two_prime(5)[0])  # [1023,512] on 16 lanes
+        low_weight_search(code, seed=3, iterations=1, depth=2)  # numpy's lazy set-up
+        peaks = []
+        for iterations in (12, 36):
+            tracemalloc.start()
+            try:
+                low_weight_search(code, seed=3, iterations=iterations, depth=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the batch's bases and column orders fill at most _TAIL_WORDS words,
+        # the slice's block and the next one at most half each; the rest is
+        # the shift rows and the reduction's and popcount's scratch
+        assert peaks[0] <= 3 * distance._TAIL_WORDS * 8, peaks
+        # batches 2 to 5 of 36 also hold the best witness so far, an int of n bits
+        assert 0 <= peaks[1] - peaks[0] < 1024, peaks
+
     def test_five_hundred_twelve_rows_on_sixteen_lanes(self):
         z, _ = build_two_prime(5)
         code = assemble(z)  # [1023,512]
@@ -667,11 +723,13 @@ def test_reduce_batch_matches_pure_python_gauss_jordan():
         n, k = code.n, code.dimension
         ints = [code.generator << i for i in range(k)]
         perms = np.stack([rng.permutation(n) for _ in range(5)])
-        got = list(distance._reduce_batch(_to_lanes(ints, (n + 63) // 64), perms))
-        assert [basis.shape for basis in got] == [((n + 63) // 64, k)] * 5
-        for basis, perm in zip(got, perms):
+        got = distance._reduce_batch(_to_lanes(ints, (n + 63) // 64), perms)
+        assert got.shape == ((n + 63) // 64, 5, k)
+        for b, perm in enumerate(perms):
             want, skipped = _gauss_jordan(ints, perm)
-            assert [_lanes_to_int(row) for row in basis.T] == want, (n, k)
+            # the stack keeps each word in the row slot it was reduced in,
+            # not in pivot order: the rows agree once both are sorted
+            assert sorted(_lanes_to_int(row) for row in got[:, b].T) == sorted(want), (n, k)
             dependent += skipped
     # the orders meet dependent columns before their bases are full
     assert dependent > 0

@@ -25,15 +25,17 @@ exhaustive sweep also on the empty set, on two-lane codes of length 127,
 once with two threads, on a four-lane [255,18] code with one and two
 threads, and on a [63,24] code
 with 64 threads asked for; the search also for enough iterations to span several
-reduction batches, and at depth 3 on the 16-lane [1023,512] code, whose
-prefix walk runs on the widest block; the proof engine in JSON and human
+reduction batches, at depth 3 on the 16-lane [1023,512] code, whose
+prefix walk runs on the widest block, and at depth 3 on the [127,63]
+sqrt-m7 dual, whose batch of 50 bases is scored in slices; the proof engine in JSON and human
 form, and on an [8191,14] code, which assembles a set of 8177 residues),
 ``verify-paper`` (fast and ``--all``, JSON and human, a glob that skips
 a slow fixture and a slow fixture named by its exact id), the ``--help``
 text of the top-level, ``analyze`` and ``verify-paper`` parsers and of
 all ten family parsers (``construct`` and ``export`` for each family),
 and the error cases with their exit codes (among them a set that is not
-closed under doubling and an ``odd-pq`` pair past the table cap).  A command that ends in
+closed under doubling, an ``odd-pq`` pair past the table cap and a
+negative search seed).  A command that ends in
 ``SystemExit`` (``--help``) is recorded with the exit code it carried, and one that
 raises any other exception as ``raised`` and the exception's type, so the
 rest are still recorded; help text is wrapped at ``COLUMNS=80`` whatever
@@ -130,6 +132,10 @@ ENGINE_RUNS = (
     ["export", "sqrt", "--m", "5", "--engine", "exhaustive", "--threads", "2"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search",
      "--depth", "3", "--iters", "20", "--seed", "5"],
+    # the benchmark's depth-3 search on the [127,63] dual: one batch of 50
+    # bases, scored in slices of 8
+    ["analyze", SCRATCH + "/m7dual.txt", "--m", "7", "--engine", "search", "--seed", "11",
+     "--iters", "50", "--depth", "3", "--json"],
     ["export", "even-m", "--m", "4", "--which", "C1", "--engine", "auto", "--budget", "2"],
     ["export", "even-m", "--m", "6", "--which", "C2", "--engine", "search", "--depth", "1"],
     # searches long enough to span several reduction batches on [1023,512] and [127,64]
@@ -174,6 +180,7 @@ ERRORS = (
     ["analyze", SCRATCH + "/missing.txt", "--m", "4"],
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--engine", "search", "--depth", "4"],
     ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--engine", "search", "--iters", "0"],
+    ["analyze", SCRATCH + "/m4.txt", "--m", "4", "--engine", "search", "--seed", "-1"],
     ["export", "two-prime", "--p", "3", "--engine", "exhaustive", "--budget", "10"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "proof"],
     ["export", "odd-pq", "--p1", "3", "--p2", "5", "--output", SCRATCH + "/no-such-dir/x.json"],
@@ -227,12 +234,18 @@ def record(outdir: Path, run_command) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         # analyze reads residues from files: the [15,7] code, the empty set, two-prime
-        # p = 3's [63,32], a [63,24] code, two codes of length 127, one of length 255,
-        # one of length 8191, four of length 31 and one residue past int64
+        # p = 3's [63,32], a [63,24] code, three codes of length 127 (one the sqrt-m7
+        # dual), one of length 255, one of length 8191, four of length 31 and one
+        # residue past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
+        _, z7_residues, _ = _run(run_command, ["construct", "sqrt", "--m", "7", "--choose", "21,27",
+                                               "--elements-only"])
+        z7 = {int(x) for x in z7_residues.split()}
+        dual7 = sorted(-x % 127 for x in range(127) if x not in z7)  # -(Z_n minus Z) mod n
         Path(scratch, "m4.txt").write_text(M4_RESIDUES, encoding="utf-8")
         Path(scratch, "empty.txt").write_text("", encoding="utf-8")
         Path(scratch, "p3.txt").write_text(p3_residues, encoding="utf-8")
+        Path(scratch, "m7dual.txt").write_text(" ".join(map(str, dual7)), encoding="utf-8")
         Path(scratch, "m6k24.txt").write_text(_residues_outside(6, (1, 3, 5, 7)), encoding="utf-8")
         Path(scratch, "m7k15.txt").write_text(_residues_outside(7, (0, 1, 5)), encoding="utf-8")
         Path(scratch, "m7k22.txt").write_text(_residues_outside(7, (0, 1, 5, 9)), encoding="utf-8")
