@@ -19,8 +19,9 @@ Three engines share one result type:
 * :func:`low_weight_search` repeatedly reduces the shift matrix of g on
   a random information set and scores all messages of weight <= depth.
   The reductions run in numpy on batches of iterations at once, each
-  batch bounded by the tail-table ceiling whatever the iteration count,
-  and each batch's bases are scored together, a slice at a time.
+  batch bounded by the tail-table ceiling whatever the iteration count
+  and eliminated a strip of columns at a time, and each batch's bases
+  are scored together, a slice at a time.
   Fast for any dimension, returns an upper bound plus the run bound as
   ``proven_lower_bound``.
 
@@ -108,6 +109,11 @@ class DistanceResult:
         if self.certificate is not None:
             out["certificate"] = vars(self.certificate)
         return out
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a plain int: bools and numpy integers are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_witness(code: CyclicCode, weight: int, witness: int) -> None:
@@ -216,21 +222,25 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
     """Exact minimum distance by full Gray-code enumeration.
 
     Refuses dimensions above ``budget`` (default 33, around 8.6e9 scored
-    messages).  ``threads`` is a parallelism hint, capped at the number of
-    CPUs, since each worker holds its own block of codewords; the message space
-    is split into contiguous Gray segments and the per-segment results are
+    messages).  ``budget`` must be a plain int and ``threads`` one >= 1
+    (not a bool or a numpy integer), else ``ValueError``.  ``threads`` is a
+    parallelism hint, capped at the number of CPUs, since each worker
+    holds its own block of codewords; the message space is split into
+    contiguous Gray segments and the per-segment results are
     min-combined on (weight, witness), so the answer -- including the
     canonical witness, the smallest bit-packed minimum-weight word -- is
     identical for any worker count.
     """
+    if not _is_int(budget):
+        raise ValueError("budget must be an int")
+    if not _is_int(threads) or threads < 1:
+        raise ValueError("threads must be an int >= 1")
     k = code.dimension
     if k > budget:
         raise BudgetExceeded(
             f"dimension {k} exceeds the exhaustive budget {budget}; "
             "use low_weight_search for an upper bound"
         )
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     threads = min(threads, os.cpu_count() or 1)
 
     rows = _shift_rows(code)
@@ -434,6 +444,12 @@ def verify_distance_certificate(code: CyclicCode, result: DistanceResult) -> Non
         )
 
 
+def _strip_width(k: int) -> int:
+    """Columns per strip of :func:`_reduce_batch` on k rows: the largest
+    c <= 7 with 2^c <= k/2, and 1 when k < 4."""
+    return max(1, min(7, (k // 2).bit_length() - 1))
+
+
 def _reduce_batch(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Gauss-Jordan reduce the (lanes, k) row block once per column order.
 
@@ -441,45 +457,71 @@ def _reduce_batch(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
     (lanes, B, k) stack: basis b, ``stack[:, b]``, holds the k words of
     the row space that each have a 1 in one column of b's information set
     (the first k independent columns of ``perms[b]``) and 0 in its other
-    columns.  That set of words is fixed by the greedy pivot order alone,
-    so it is the one a row-swapping loop over the columns leaves; the
-    words stay in the row slots where they were reduced, not in pivot
-    order.
+    columns.  Each column, in order, takes as pivot the first row not yet
+    a pivot that has its bit and XORs it into every other row that has
+    the bit, so the words stay in the row slots where they were reduced,
+    not in pivot order; the set of words is the one a row-swapping loop
+    leaves.
 
-    The B reductions step through their columns together, so that one
-    gather reads every basis's bit in its next column.  Each step takes,
-    in each basis, the first row not yet a pivot that has the bit, and
-    XORs it into the other rows that have the bit (through an all-ones
-    mask, lane by lane: a ``where=`` XOR is several times slower).
+    The B reductions step together through strips of the next
+    c = ``_strip_width(k)`` columns of each order (Four Russians
+    elimination).  A strip gathers each row's c bits into a uint16 word,
+    and its column steps run on these (B, k) words alone, whatever the
+    lane count: a step XORs the pivot's word, plus a flag naming the
+    pivot, into the other rows that have the bit, so the upper c bits of
+    each word name the pivot rows, as they stood when the strip began,
+    that the strip adds to its row.  A table per basis of the 2^c XORs of
+    those pivot rows then gives every row, pivots included, its value
+    after the strip in one gather and XOR per lane.  The table holds at
+    most half as many words as the stack (k >= 4).  On one core, strips
+    of 4 to 7 columns ran within a few percent of each other on the
+    [127,64] (B = 257, 2 lanes) and [1023,512] (B = 7, 16 lanes) batches,
+    strips of one column 1.6 and 2.7 times slower.
     Raises :class:`SearchError` if a basis runs out of columns before it
     has k pivots.
     """
     batch, n = perms.shape
-    k = rows.shape[1]
+    lanes, k = rows.shape
+    c = _strip_width(k)
     basis = np.repeat(rows[:, None, :], batch, axis=1)
     free = np.ones((batch, k), dtype=bool)
-    filled = np.zeros(batch, dtype=np.intp)
     at = np.arange(batch)
-    one = np.uint64(1)
-    masked = np.empty((batch, k), dtype=np.uint64)
-    for j in range(n):
-        col = perms[:, j]
-        bits = (basis[col >> 6, at] >> (col & 63).astype(np.uint64)[:, None]) & one
-        free_bits = bits.astype(bool) & free
-        pivot = free_bits.argmax(axis=1)
-        took = free_bits[at, pivot]
-        bits *= took[:, None]
-        bits[at, pivot] = 0
-        np.negative(bits, out=bits)  # 1 -> all ones
-        for lane, pivot_words in zip(basis, basis[:, at, pivot]):
-            lane ^= np.bitwise_and(bits, pivot_words[:, None], out=masked)
-        free[at[took], pivot[took]] = False
-        filled += took
-        if filled.min() == k:
-            break
-    if filled.min() < k:
-        raise SearchError("generator matrix lost rank during reduction")
-    return basis
+    flat_at = at * k
+    pivots = np.empty((c, batch), dtype=np.intp)
+    table = np.zeros((lanes, 1 << c, batch), dtype=np.uint64)
+    words = np.empty((batch, k), dtype=np.uint16)  # c strip bits, c pivot flags: c <= 8
+    hits = np.empty((batch, k), dtype=bool)
+    scratch = np.empty((batch, k), dtype=np.uint16)
+    for j in range(0, n, c):
+        cols = perms[:, j:j + c]
+        w = cols.shape[1]
+        masks = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+        words[:] = 0
+        for t in range(w):
+            np.not_equal(basis[cols[:, t] >> 6, at] & masks[:, t, None], 0, out=hits)
+            words |= np.multiply(hits, np.uint16(1 << t), out=scratch)
+        for t in range(w):
+            np.not_equal(words & np.uint16(1 << t), 0, out=hits)
+            free_hits = hits & free
+            pivots[t] = free_hits.argmax(axis=1)
+            at_pivot = flat_at + pivots[t]
+            took = free_hits.take(at_pivot)
+            pivot_words = words.take(at_pivot) | np.uint16(1 << (c + t))
+            pivot_words *= took
+            hits.ravel()[at_pivot] = False
+            words ^= np.multiply(hits, pivot_words[:, None], out=scratch)
+            free.ravel()[at_pivot] ^= took
+        combos = table[:, :1 << w]  # combos[:, m, b]: XOR of b's pivot rows that m's bits name
+        combos[:, 1 << np.arange(w)] = basis[:, at, pivots[:w]]
+        for t in range(1, w):
+            h = 1 << t
+            np.bitwise_xor(combos[:, 1:h], combos[:, h, None], out=combos[:, h + 1:2 * h])
+        index = (words >> np.uint16(c)) * np.intp(batch) + at[:, None]
+        for lane, lane_combos in zip(basis, combos.reshape(lanes, -1)):
+            lane ^= lane_combos.take(index)
+        if not free.any():
+            return basis
+    raise SearchError("generator matrix lost rank during reduction")
 
 
 def _batch_best(bases: np.ndarray, depth: int, best: tuple[int, int]) -> tuple[int, int]:
@@ -517,22 +559,26 @@ def low_weight_search(
     (weight, word) scored, which does not depend on scoring order.
     Deterministic for fixed (seed, iterations, depth), and consuming a
     fixed RNG amount per iteration, so longer runs extend shorter ones.
-    ``seed`` must be a non-negative int (not a bool), else ``ValueError``.
+    ``seed`` must be a non-negative int, ``iterations`` an int >= 1 and
+    ``depth`` one of 1, 2, 3, each a plain int (not a bool or a numpy
+    integer), else ``ValueError``.
 
-    Iterations are reduced in batches by :func:`_reduce_batch`.  A batch
-    holds B bases of k x lanes uint64 words and their B column orders of
-    n words; B is the largest count that keeps these within the
-    ``_TAIL_WORDS`` that bound a tail table (at least one).  The batch's
-    bases are then scored together, a slice at a time, by
-    :func:`_batch_best`: a slice's largest table and block stay within
-    ``_TAIL_WORDS``, so working memory does not grow with ``iterations``.
+    Iterations are reduced in batches by :func:`_reduce_batch`, a strip
+    of columns at a time.  A batch holds B bases of k x lanes uint64
+    words and their B column orders of n words; B is the largest count
+    that keeps these within the ``_TAIL_WORDS`` that bound a tail table
+    (at least one), and a strip's table holds at most half as many words
+    as the bases.  The batch's bases are then scored together, a slice at
+    a time, by :func:`_batch_best`: a slice's largest table and block stay
+    within ``_TAIL_WORDS``, so working memory does not grow with
+    ``iterations``.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError("seed must be a non-negative int")
-    if depth not in (1, 2, 3):
+    if not _is_int(depth) or depth not in (1, 2, 3):
         raise ValueError("depth must be 1, 2, or 3")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    if not _is_int(iterations) or iterations < 1:
+        raise ValueError("iterations must be an int >= 1")
     n = code.n
     rows = _shift_rows(code)
     batch = max(1, _TAIL_WORDS // (rows.size + n))

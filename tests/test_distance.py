@@ -136,6 +136,16 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="threads"):
             exact_min_distance(_code(7, (1, 2, 4)), threads=0)
 
+    @pytest.mark.parametrize("threads", [True, 2.0, np.int64(2), "2"])
+    def test_rejects_threads_that_are_not_a_plain_int(self, threads):
+        with pytest.raises(ValueError, match="^threads must be an int >= 1$"):
+            exact_min_distance(_code(7, (1, 2, 4)), threads=threads)
+
+    @pytest.mark.parametrize("budget", [33.5, True, np.int64(33), "33", None])
+    def test_rejects_a_budget_that_is_not_a_plain_int(self, budget):
+        with pytest.raises(ValueError, match="^budget must be an int$"):
+            exact_min_distance(_code(7, (1, 2, 4)), budget=budget)
+
 
 class TestParallelDeterminism:
     @pytest.mark.parametrize(
@@ -457,6 +467,16 @@ class TestSearch:
         with pytest.raises(ValueError, match="iterations"):
             low_weight_search(code_63_32, seed=1, iterations=0)
 
+    @pytest.mark.parametrize("iterations", [True, False, 2.5, np.int64(3), "3", None])
+    def test_rejects_iterations_that_are_not_a_plain_int(self, code_63_32, iterations):
+        with pytest.raises(ValueError, match="^iterations must be an int >= 1$"):
+            low_weight_search(code_63_32, seed=1, iterations=iterations)
+
+    @pytest.mark.parametrize("depth", [True, 2.0, np.int64(2), "2", None])
+    def test_rejects_a_depth_that_is_not_a_plain_int(self, code_63_32, depth):
+        with pytest.raises(ValueError, match="^depth must be 1, 2, or 3$"):
+            low_weight_search(code_63_32, seed=1, iterations=5, depth=depth)
+
     @pytest.mark.parametrize("seed", [None, True, False, -1, 2.0, "1"])
     def test_rejects_a_seed_that_is_not_a_non_negative_int(self, code_63_32, seed):
         with pytest.raises(ValueError, match="^seed must be a non-negative int$"):
@@ -469,23 +489,28 @@ class TestSearch:
 # -- the search scores through the shared subset enumerator ---------------
 
 
-def _gauss_jordan(rows, perm):
-    """Reference reduction: pure-Python Gauss-Jordan on int rows, swapping
-    each pivot into place.  Returns (basis, dependent columns met before
-    the basis was full)."""
+def _gauss_jordan(rows, perm, keep_slots=False):
+    """Reference reduction: pure-Python Gauss-Jordan on int rows.  Each
+    column's pivot is the first row not yet a pivot that has its bit; it
+    is swapped into the next pivot slot, or with ``keep_slots`` stays in
+    its own slot.  Returns (basis, dependent columns met before the basis
+    was full)."""
     k = len(rows)
     basis = list(rows)
+    pivoted = [False] * k
     filled = dependent = 0
     for col in perm:
         bit = 1 << int(col)
-        pivot = next((r for r in range(filled, k) if basis[r] & bit), None)
+        pivot = next((r for r in range(k) if not pivoted[r] and basis[r] & bit), None)
         if pivot is None:
             dependent += 1
             continue
-        basis[filled], basis[pivot] = basis[pivot], basis[filled]
+        slot = pivot if keep_slots else filled
+        basis[slot], basis[pivot] = basis[pivot], basis[slot]
+        pivoted[slot] = True
         for r in range(k):
-            if r != filled and basis[r] & bit:
-                basis[r] ^= basis[filled]
+            if r != slot and basis[r] & bit:
+                basis[r] ^= basis[slot]
         filled += 1
         if filled == k:
             break
@@ -684,22 +709,27 @@ class TestSearchMatchesUnrolledReference:
         assert (got.best_weight_found, got.witness) == _unrolled_search(code, 60 + index, 7, depth)
 
     def test_memory_is_bounded_whatever_the_iteration_count(self):
-        code = assemble(build_two_prime(5)[0])  # [1023,512] on 16 lanes
-        low_weight_search(code, seed=3, iterations=1, depth=2)  # numpy's lazy set-up
-        peaks = []
-        for iterations in (12, 36):
-            tracemalloc.start()
-            try:
-                low_weight_search(code, seed=3, iterations=iterations, depth=2)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # the batch's bases and column orders fill at most _TAIL_WORDS words,
-        # the slice's block and the next one at most half each; the rest is
-        # the shift rows and the reduction's and popcount's scratch
-        assert peaks[0] <= 3 * distance._TAIL_WORDS * 8, peaks
-        # batches 2 to 5 of 36 also hold the best witness so far, an int of n bits
-        assert 0 <= peaks[1] - peaks[0] < 1024, peaks
+        for z, counts in [
+            (build_two_prime(5)[0], (12, 36)),  # [1023,512] on 16 lanes: batches of 7
+            (build_sqrt_complement(7, overrides=(21, 27))[0], (300, 600)),  # [127,64]: of 257
+        ]:
+            code = assemble(z)
+            low_weight_search(code, seed=3, iterations=1, depth=2)  # numpy's lazy set-up
+            peaks = []
+            for iterations in counts:
+                tracemalloc.start()
+                try:
+                    low_weight_search(code, seed=3, iterations=iterations, depth=2)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # the batch's bases and column orders fill at most _TAIL_WORDS words,
+            # the slice's block and the next one at most half each; the rest is
+            # the shift rows, the reduction's strip table (at most half the
+            # bases) and scratch, and popcount's scratch
+            assert peaks[0] <= 3 * distance._TAIL_WORDS * 8, peaks
+            # later batches also hold the best witness so far, an int of n bits
+            assert 0 <= peaks[1] - peaks[0] < 1024, peaks
 
     def test_five_hundred_twelve_rows_on_sixteen_lanes(self):
         z, _ = build_two_prime(5)
@@ -716,23 +746,96 @@ class TestSearchMatchesUnrolledReference:
             low_weight_search(stub, seed=1, iterations=2)
 
 
-def test_reduce_batch_matches_pure_python_gauss_jordan():
+def _assert_reference_slots(ints, n, perms):
+    """Assert that ``_reduce_batch`` leaves every word of each basis in the
+    slot the keep-slots reference leaves it in, and that the words are the
+    ones a row-swapping loop leaves.  Returns the dependent columns met
+    before the bases were full."""
+    perms = np.asarray(perms)
+    got = distance._reduce_batch(_to_lanes(ints, (n + 63) // 64), perms)
+    assert got.shape == ((n + 63) // 64, len(perms), len(ints))
+    dependent = 0
+    for b, perm in enumerate(perms):
+        want, skipped = _gauss_jordan(ints, perm, keep_slots=True)
+        assert [_lanes_to_int(row) for row in got[:, b].T] == want, (n, len(ints), b)
+        assert sorted(want) == sorted(_gauss_jordan(ints, perm)[0])
+        dependent += skipped
+    return dependent
+
+
+def _with_strip_width(monkeypatch, width):
+    """Make ``_reduce_batch`` use strips of ``width`` columns (None: the
+    width its rule picks)."""
+    if width is not None:
+        monkeypatch.setattr("bincyclic.distance._strip_width", lambda k: width)
+
+
+#: the [15,5,7] BCH code, the cosets of 1, 3 and 5 mod 15
+BCH_15_5 = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)
+
+
+def _assert_reference_slots_on_every_code():
+    """Batches of 5 bases and of 1 on every search code and [15,5]."""
     rng = np.random.default_rng(77)
     dependent = 0
-    for code in _search_codes():
+    for code in [*_search_codes(), _code(15, BCH_15_5)]:
         n, k = code.n, code.dimension
         ints = [code.generator << i for i in range(k)]
-        perms = np.stack([rng.permutation(n) for _ in range(5)])
-        got = distance._reduce_batch(_to_lanes(ints, (n + 63) // 64), perms)
-        assert got.shape == ((n + 63) // 64, 5, k)
-        for b, perm in enumerate(perms):
-            want, skipped = _gauss_jordan(ints, perm)
-            # the stack keeps each word in the row slot it was reduced in,
-            # not in pivot order: the rows agree once both are sorted
-            assert sorted(_lanes_to_int(row) for row in got[:, b].T) == sorted(want), (n, k)
-            dependent += skipped
+        for batch in (5, 1):
+            perms = [rng.permutation(n) for _ in range(batch)]
+            dependent += _assert_reference_slots(ints, n, perms)
     # the orders meet dependent columns before their bases are full
     assert dependent > 0
+
+
+def test_reduce_batch_matches_pure_python_gauss_jordan():
+    _assert_reference_slots_on_every_code()
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_reduce_batch_matches_at_any_strip_width(monkeypatch, width):
+    # every n here is odd, so a width of 2 or more leaves a short last
+    # strip; 8 is wider than k on the [7,1] and [15,5] codes
+    _with_strip_width(monkeypatch, width)
+    _assert_reference_slots_on_every_code()
+
+
+@pytest.mark.parametrize("index", [6, 8])  # [127,64] on two lanes, [255,129] on four
+@pytest.mark.parametrize("width", [None, 2, 5])
+def test_reduce_batch_strip_across_a_lane_boundary(monkeypatch, index, width):
+    # columns 63 and 64, bit 63 of lane 0 and bit 0 of lane 1, fall in
+    # one strip, at a different place in each basis's order
+    _with_strip_width(monkeypatch, width)
+    code = _search_codes()[index]
+    n, k = code.n, code.dimension
+    c = distance._strip_width(k)
+    rng = np.random.default_rng(79)
+    perms = []
+    for b in range(6):
+        perm = [int(x) for x in rng.permutation(n) if x not in (63, 64)]
+        at = c * (b % (k // c)) + b % (c - 1)
+        perm[at:at] = [63, 64]
+        assert at // c == (at + 1) // c
+        perms.append(perm)
+    _assert_reference_slots([code.generator << i for i in range(k)], n, perms)
+
+
+def test_reduce_batch_strip_of_dependent_columns(monkeypatch):
+    # columns 24..27 repeat columns 0..3 in every row, so the second strip
+    # of 4 columns, which follows 0..3, is all dependent
+    monkeypatch.setattr("bincyclic.distance._strip_width", lambda k: 4)
+    rng = random.Random(80)
+    n, k = 40, 10
+    ints = []
+    for _ in range(k):
+        row = rng.getrandbits(n) & ~(0b1111 << 24)
+        ints.append(row | (row & 0b1111) << 24)
+    perms = []
+    for b in range(3):
+        rest = [j for j in range(n) if not (j < 4 or 24 <= j < 28)]
+        random.Random(b).shuffle(rest)
+        perms.append([0, 1, 2, 3, 24, 25, 26, 27, *rest])
+    assert _assert_reference_slots(ints, n, perms) >= 3 * 4
 
 
 class TestAutoDispatch:

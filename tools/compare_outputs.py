@@ -26,8 +26,10 @@ once with two threads, on a four-lane [255,18] code with one and two
 threads, and on a [63,24] code
 with 64 threads asked for; the search also for enough iterations to span several
 reduction batches, at depth 3 on the 16-lane [1023,512] code, whose
-prefix walk runs on the widest block, and at depth 3 on the [127,63]
-sqrt-m7 dual, whose batch of 50 bases is scored in slices; the proof engine in JSON and human
+prefix walk runs on the widest block, at depth 3 on the [127,63]
+sqrt-m7 dual, whose batch of 50 bases is scored in slices, and at depth
+2 over three batches on the four-lane [255,129] even-m code and the
+eight-lane [511,256] weight-class code; the proof engine in JSON and human
 form, and on an [8191,14] code, which assembles a set of 8177 residues),
 ``verify-paper`` (fast and ``--all``, JSON and human, a glob that skips
 a slow fixture and a slow fixture named by its exact id), the ``--help``
@@ -143,6 +145,12 @@ ENGINE_RUNS = (
     # the widest block, 16 lanes, through the depth-3 prefix walk
     ["export", "two-prime", "--p", "5", "--engine", "search", "--depth", "3", "--iters", "1"],
     ["export", "sqrt", "--m", "7", "--choose", "21,27", "--engine", "search", "--iters", "700", "--depth", "1"],
+    # three reduction batches each: 85 + 85 + 30 bases of the four-lane
+    # [255,129] code and 25 + 25 + 10 of the eight-lane [511,256] code
+    ["export", "even-m", "--m", "8", "--which", "C1", "--engine", "search", "--depth", "2",
+     "--iters", "200", "--seed", "8"],
+    ["export", "weight-class", "--m", "9", "--i", "1", "--engine", "search", "--depth", "2",
+     "--iters", "60", "--seed", "9"],
     ["export", "two-prime", "--p", "3", "--engine", "proof", "--output", SCRATCH + "/tp3.json"],
     ["export", "weight-class", "--m", "9", "--i", "1", "--output", SCRATCH + "/wc9.json"],
 )
