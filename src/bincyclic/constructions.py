@@ -6,7 +6,10 @@ selection decision, so the set-theoretic identities the guarantees rest
 on can be re-checked from the outside.  The audit is a
 ``types.SimpleNamespace``: its ``construction`` tag, then the builder's
 fields in a fixed order, holding ints, strings, bools, None and tuples.
-``vars(audit)`` is the ``audit`` object of the JSON envelope.
+``vars(audit)`` is the ``audit`` object of the JSON envelope.  The
+parameters are plain ints (``overrides`` a sequence of them,
+``swap_pairs`` a bool); a float, a bool or a numpy integer in their place
+raises ``ValueError``.
 
 The five families, all of length n = 2^m - 1 and dimension within one of
 n/2:
@@ -40,7 +43,7 @@ import numpy as np
 
 from .cosets import (CosetTable, _is_prime, build_table, classify_by_size, negated_mask,
                      weight_classes)
-from .gf2 import InvariantError
+from .gf2 import InvariantError, _is_int
 
 
 class SelectionError(ValueError):
@@ -134,20 +137,15 @@ def _check_size(z: DefiningSet, size: int) -> None:
 def _complement_pairs(table: CosetTable, resid_mask: np.ndarray) -> list[tuple[int, int]]:
     """``(ell, partner)`` for every coset C_ell met by ``resid_mask``, where
     C_partner = -C_ell is its complement image; ascending, ell < partner.
-    Every partner must itself be met and differ from ell."""
-    n = table.n
-    resid_leaders = set(table.leaders_in(resid_mask))
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for ell in sorted(resid_leaders):
-        if ell in seen:
-            continue
-        partner = int(table.leader_of[n - ell])
-        if partner not in resid_leaders or partner == ell:
-            raise InvariantError(f"coset {ell} has no distinct complement partner")
-        seen.update((ell, partner))
-        pairs.append((ell, partner))  # ell < partner by ascending scan
-    return pairs
+    Every partner must itself be met and differ from ell, or
+    :class:`InvariantError` names the least leader that fails."""
+    leaders = np.unique(table.leader_of[resid_mask])
+    partners = table.leader_of[table.n - leaders]
+    lone = ~np.isin(partners, leaders) | (partners == leaders)
+    if lone.any():
+        raise InvariantError(f"coset {int(leaders[lone][0])} has no distinct complement partner")
+    keep = leaders < partners
+    return list(zip(leaders[keep].tolist(), partners[keep].tolist()))
 
 
 def build_even_m(m: int, *, swap_pairs: bool = False):
@@ -166,45 +164,52 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     into-second-half leader) for each complement-paired coset of the
     leftover middle layer.
     """
-    if m % 2 != 0 or not 4 <= m <= 24:
-        raise ValueError(f"need even m with 4 <= m <= 24, got {m}")
+    if not _is_int(m) or m % 2 != 0 or not 4 <= m <= 24:
+        raise ValueError(f"need even m with 4 <= m <= 24, got {m!r}")
+    if not isinstance(swap_pairs, bool):
+        raise ValueError(f"swap_pairs must be a bool, got {swap_pairs!r}")
     t = m // 2
     n = (1 << m) - 1
     size = 1 << m
-    half_mask = (1 << t) - 1
 
-    vec = np.arange(size, dtype=np.int64)
-    w = np.bitwise_count(vec)
-    lo = vec & half_mask
-    hi = vec >> t
-    halves_equal = lo == hi
-    b_mask = (w > t) & halves_equal
-    t_mask = (w == t) & halves_equal
-    g_mask = (w == t) & (lo == (hi ^ half_mask))
-    resid_mask = (w == t) & ~halves_equal & (lo != (hi ^ half_mask))
-    del lo, hi, halves_equal
+    # The special families are read off the halves x < 2^t: the vector with
+    # both halves x is x(2^t + 1), of weight 2 wt(x), and the one with halves
+    # x and its complement is x + ((2^t - 1 - x) << t), which falls as x rises.
+    half = np.arange(1 << t, dtype=np.int64)
+    equal = half * ((1 << t) + 1)
+    equal_weight = 2 * np.bitwise_count(half)
+    b_vecs = equal[equal_weight > t]
+    t_vecs = equal[equal_weight == t]
+    g_vecs = (half + (((1 << t) - 1 - half) << t))[::-1]
+
+    w = np.bitwise_count(np.arange(size, dtype=np.uint32))
+    s1, s2 = w < t, w > t
+    del w
+    s1[b_vecs] = True
+    s2[b_vecs] = False
+    s1[t_vecs] = True
+    s2[g_vecs] = True
+    resid_mask = ~(s1[:n] | s2[:n])
 
     # Pair residual cosets with their complement images; the larger leader
     # goes to the first half (matching the worked m=6 split), unless swapped.
     table = build_table(m)
     pairs = [
         (small, big) if swap_pairs else (big, small)
-        for small, big in _complement_pairs(table, resid_mask[:n])
+        for small, big in _complement_pairs(table, resid_mask)
     ]
 
-    p1_mask = np.zeros(size, dtype=bool)
-    p2_mask = np.zeros(size, dtype=bool)
-    p1_mask[:n] = table.union_mask([a for a, _ in pairs])
-    p2_mask[:n] = table.union_mask([b for _, b in pairs])
+    p1_mask = table.union_mask([a for a, _ in pairs])
+    p2_mask = table.union_mask([b for _, b in pairs])
     if (p1_mask & p2_mask).any():
         raise InvariantError("the two pair halves must not meet")
     if not ((p1_mask | p2_mask) == resid_mask).all():
         raise InvariantError("pairs must tile the residual layer")
-    if not np.array_equal(negated_mask(p2_mask[:n]), p1_mask[:n]):
+    if not np.array_equal(negated_mask(p2_mask), p1_mask):
         raise InvariantError("the second pair half must be the negation of the first")
 
-    s1 = (w < t) | b_mask | t_mask | p1_mask
-    s2 = ((w > t) & ~b_mask) | g_mask | p2_mask
+    s1[:n] |= p1_mask
+    s2[:n] |= p2_mask
     if (s1 & s2).any() or not (s1 | s2).all():
         raise InvariantError("the two halves must tile F_2^m")
     if not int(s1.sum()) == int(s2.sum()) == size // 2:
@@ -226,9 +231,9 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
         construction="even-m",
         m=m,
         t=t,
-        b_preimage=tuple(np.flatnonzero(b_mask).tolist()),
-        t_preimage=tuple(np.flatnonzero(t_mask).tolist()),
-        g_preimage=tuple(np.flatnonzero(g_mask).tolist()),
+        b_preimage=tuple(b_vecs.tolist()),
+        t_preimage=tuple(t_vecs.tolist()),
+        g_preimage=tuple(g_vecs.tolist()),
         residual_pairs=tuple(pairs),
         p1_preimage=tuple(np.flatnonzero(p1_mask).tolist()),
         p2_preimage=tuple(np.flatnonzero(p2_mask).tolist()),
@@ -284,7 +289,7 @@ def _greedy_select(
     if not f_leaders:
         raise InvariantError("no full-size coset meets the run block")
     sigma0 = full_leaders.index(max(f_leaders)) + 1
-    tail_leaders = {int(table.leader_of[n - i]) for i in range(1, tail_len + 1)}
+    tail_leaders = table.leaders_in(slice(n - tail_len, n))
 
     if sigma0 >= sigma_lo:
         case = "direct"
@@ -310,7 +315,7 @@ def _greedy_select(
         raise InvariantError("the dual tail must stay outside Z")
     selection = {"f_leaders": f_leaders, "sigma0": sigma0, "sigma_lo": sigma_lo,
                  "sigma": sigma, "case": case}
-    bounds = {"forbidden_leaders": tuple(sorted(tail_leaders)),
+    bounds = {"forbidden_leaders": tail_leaders,
               "tail_first": n - tail_len, "tail_last": n - 1}
     return mask, chosen_secondary, selection, chosen_full, bounds
 
@@ -323,8 +328,8 @@ def build_two_prime(p: int):
     bound needs free.  Selection is deterministic: ascending leaders,
     forbidden ones skipped.  Returns ``(Z, audit)`` with |Z| = 2^(m-1) - 1.
     """
-    if p % 2 == 0 or not _is_prime(p) or 2 * p > 24:
-        raise ValueError(f"need an odd prime p with 2p <= 24, got {p}")
+    if not _is_int(p) or p % 2 == 0 or not _is_prime(p) or 2 * p > 24:
+        raise ValueError(f"need an odd prime p with 2p <= 24, got {p!r}")
     m = 2 * p
     n = (1 << m) - 1
     table = build_table(m)
@@ -367,8 +372,9 @@ def build_odd_pq(p1: int, p2: int):
     Mirror of :func:`build_two_prime` with three coset-size classes; 0 is
     NOT included.  Returns ``(Z, audit)`` with |Z| = 2^(m-1) - 1.
     """
-    if not (p1 % 2 and p2 % 2 and _is_prime(p1) and _is_prime(p2) and p1 < p2):
-        raise ValueError(f"need odd primes p1 < p2, got ({p1}, {p2})")
+    if not (_is_int(p1) and _is_int(p2) and p1 % 2 and p2 % 2 and _is_prime(p1)
+            and _is_prime(p2) and p1 < p2):
+        raise ValueError(f"need odd primes p1 < p2, got ({p1!r}, {p2!r})")
     m = p1 * p2
     if m > 24:
         raise ValueError(f"p1*p2 = {m} exceeds the table cap 24")
@@ -434,8 +440,8 @@ def build_sqrt_complement(m: int, overrides=None):
     smaller leader; ``overrides`` forces specific leaders).  Returns
     ``(Z, audit)`` with |Z| = 2^(m-1) - 1.
     """
-    if m % 2 == 0 or not 5 <= m <= 23:
-        raise ValueError(f"need odd m with 5 <= m <= 23, got {m}")
+    if not _is_int(m) or m % 2 == 0 or not 5 <= m <= 23:
+        raise ValueError(f"need odd m with 5 <= m <= 23, got {m!r}")
     n = (1 << m) - 1
     table = build_table(m)
     block_top = 2 ** ((m + 1) // 2) - 2
@@ -455,7 +461,10 @@ def build_sqrt_complement(m: int, overrides=None):
         selected = [ell for ell, _ in pairs]
         overrides_used = None
     else:
-        overrides_used = tuple(sorted(int(x) for x in overrides))
+        overrides = tuple(overrides)
+        if not all(map(_is_int, overrides)):
+            raise ValueError(f"overrides must be ints, got {overrides!r}")
+        overrides_used = tuple(sorted(overrides))
         repeated = sorted({a for a, b in zip(overrides_used, overrides_used[1:]) if a == b})
         if repeated:
             raise SelectionError(f"overrides {repeated} are named more than once")
@@ -517,10 +526,10 @@ def build_weight_class(m: int, i: int):
     A ∩ B (block meets negated block); ``excluded_top`` are the four
     residues 2^((m+3)/2) - j, j in {9,11,13,15}, verified absent from B.
     """
-    if m % 2 == 0 or not 9 <= m <= 23:
-        raise ValueError(f"need odd m with 9 <= m <= 23, got {m}")
-    if i not in (0, 1):
-        raise ValueError(f"parity selector must be 0 or 1, got {i}")
+    if not _is_int(m) or m % 2 == 0 or not 9 <= m <= 23:
+        raise ValueError(f"need odd m with 9 <= m <= 23, got {m!r}")
+    if not _is_int(i) or i not in (0, 1):
+        raise ValueError(f"parity selector must be 0 or 1, got {i!r}")
     n = (1 << m) - 1
     half = (m - 1) // 2
     L = 4 * (2**half - 4)
@@ -541,13 +550,10 @@ def build_weight_class(m: int, i: int):
     u_val = (2 ** (half + 1) - 3) if first_tu else (3 * 2**half - 1)
     s_val = (2 ** (half + 2) - 11) if first_tu else (2 ** (half + 2) - 9)
     v_val = (2 ** (half + 2) - 13) if first_tu else (2 ** (half + 2) - 15)
-    # The case values are coset representatives, not always leaders.
-    lead = lambda x: int(table.leader_of[x])
-
     # Identity: the block meets the negated block in exactly four cosets.
-    expected_inter = tuple(sorted(
-        {lead(2**half - 1), lead(2 ** (half + 1) - 3), lead(2 ** (half + 1) - 1), lead(3 * 2**half - 1)}
-    ))
+    # These and the case values are coset representatives, not always leaders.
+    expected_inter = table.leaders_in([2**half - 1, 2 ** (half + 1) - 3, 2 ** (half + 1) - 1,
+                                       3 * 2**half - 1])
     inter_leaders = table.leaders_in(a_mask & b_all_mask)
     if inter_leaders != expected_inter:
         raise InvariantError(f"A ∩ B meets cosets {inter_leaders}, expected {expected_inter}")
@@ -556,11 +562,11 @@ def build_weight_class(m: int, i: int):
     if any(b_all_mask[x] for x in excluded_top):
         raise InvariantError(f"a residue of {excluded_top} lies in the negated block")
     # The i-parity slice of the intersection is exactly C_t ∪ C_u.
-    tu_mask = table.union_mask(sorted({lead(t_val), lead(u_val)}))
+    tu_mask = table.union_mask(table.leader_of[[t_val, u_val]])
     if not ((a_mask & b0_mask) == tu_mask).all():
         raise InvariantError("B0 ∩ A must be C_t ∪ C_u")
 
-    sv_mask = table.union_mask(sorted({lead(s_val), lead(v_val)}))
+    sv_mask = table.union_mask(table.leader_of[[s_val, v_val]])
     b1_mask = parity_masks[1 ^ i] & ~((b0_mask & ~tu_mask) | sv_mask)
     t_total = a_mask | b1_mask
 

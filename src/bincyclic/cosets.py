@@ -67,9 +67,10 @@ class CosetTable:
     def leaders_of_size(self, size: int) -> tuple[int, ...]:
         return tuple(self.leaders[self.sizes == size].tolist())
 
-    def leaders_in(self, where: "slice | np.ndarray") -> tuple[int, ...]:
-        """Ascending leaders of the cosets met by the residues that a slice
-        or a boolean mask over Z_n selects."""
+    def leaders_in(self, where: "slice | list[int] | np.ndarray") -> tuple[int, ...]:
+        """Ascending leaders, each named once, of the cosets met by the
+        residues that a slice, an index array (repeats allowed) or a
+        boolean mask over Z_n selects."""
         return tuple(np.unique(self.leader_of[where]).tolist())
 
     def union_mask(self, leaders: "list[int] | tuple[int, ...] | np.ndarray") -> np.ndarray:

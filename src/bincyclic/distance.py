@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .codecore import CyclicCode, InvariantError, bch_lower_bound
-from .gf2 import poly_divrem, poly_to_bitstring
+from .gf2 import _is_int, poly_divrem, poly_to_bitstring
 
 #: per-worker scratch ceiling for the combination block, in bytes
 _BLOCK_BYTES = 16 << 20
@@ -109,11 +109,6 @@ class DistanceResult:
         if self.certificate is not None:
             out["certificate"] = vars(self.certificate)
         return out
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a plain int: bools and numpy integers are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_witness(code: CyclicCode, weight: int, witness: int) -> None:
@@ -614,7 +609,10 @@ def auto_distance(
     depth: int = 2,
     threads: int = 1,
 ) -> DistanceResult:
-    """Dispatch on dimension: exhaustive when it fits the budget, else search."""
+    """Dispatch on dimension: exhaustive when it fits the budget, else search.
+    ``budget`` must be a plain int, else ``ValueError``."""
+    if not _is_int(budget):
+        raise ValueError("budget must be an int")
     if code.dimension <= budget:
         return exact_min_distance(code, budget=budget, threads=threads)
     if seed is None:

@@ -28,9 +28,14 @@ BinaryPolynomial = int
 MAX_FIELD_DEGREE = 24
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a plain int: bools and numpy integers are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_field_degree(m: int) -> None:
     """Raise ``ValueError`` unless ``m`` is an int in [2, MAX_FIELD_DEGREE]."""
-    if not isinstance(m, int) or not 2 <= m <= MAX_FIELD_DEGREE:
+    if not _is_int(m) or not 2 <= m <= MAX_FIELD_DEGREE:
         raise ValueError(f"need 2 <= m <= {MAX_FIELD_DEGREE}, got {m!r}")
 
 

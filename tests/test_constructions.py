@@ -1,6 +1,7 @@
 """Defining-set builders: frozen traces, regressions, and failure modes."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ import bincyclic
 from bincyclic.constructions import (
     DefiningSet,
     SelectionError,
+    _complement_pairs,
     build_even_m,
     build_family,
     build_odd_pq,
@@ -21,7 +23,8 @@ from bincyclic.constructions import (
     build_two_prime,
     build_weight_class,
 )
-from bincyclic.cosets import build_table
+from bincyclic.cosets import build_table, negated_mask
+from bincyclic.gf2 import InvariantError
 from bincyclic.codecore import bch_run, dual_defining_set
 from bincyclic.fixtures import (
     EXAMPLE1_Z1,
@@ -162,10 +165,29 @@ class TestEvenM:
         z1, z2, _ = build_even_m(6, swap_pairs=True)
         assert len(z1) == 30 and len(z2) == 32
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 26])
+    @pytest.mark.parametrize("m", [2, 3, 5, 26, 6.0, np.int64(6), "6"])
     def test_rejects_bad_m(self, m):
-        with pytest.raises(ValueError):
+        message = f"need even m with 4 <= m <= 24, got {m!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_even_m(m)
+
+    @pytest.mark.parametrize("swap", [1, None, np.bool_(True)])
+    def test_rejects_swap_pairs_that_is_not_a_bool(self, swap):
+        with pytest.raises(ValueError, match=re.escape(f"swap_pairs must be a bool, got {swap!r}")):
+            build_even_m(6, swap_pairs=swap)
+
+    def test_peak_memory_per_residue(self):
+        # the special families come from the 2^(m/2) halves, so the only
+        # arrays over all 2^m vectors are a uint8 weight and two bool masks
+        build_even_m(6)  # imports and first-call caches stay out of the count
+        m = 18
+        tracemalloc.start()
+        try:
+            build_even_m(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (2**m - 1), f"peak {peak / (2**m - 1):.1f} bytes per residue"
 
     def test_deterministic(self):
         a1, a2, _ = build_even_m(8)
@@ -204,9 +226,10 @@ class TestTwoPrime:
         assert bch_run(z) == (110, 0)
         assert bch_run(dual_defining_set(z)) == (15, 1)
 
-    @pytest.mark.parametrize("p", [2, 4, 9, 13])
+    @pytest.mark.parametrize("p", [2, 4, 9, 13, 3.0, np.int64(3), "3"])
     def test_rejects_bad_p(self, p):
-        with pytest.raises(ValueError):
+        message = f"need an odd prime p with 2p <= 24, got {p!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_two_prime(p)
 
     def test_deterministic(self):
@@ -234,9 +257,11 @@ class TestOddPq:
         assert bch_run(z)[0] == 120285
         assert bch_run(dual_defining_set(z)) == (32, 0)
 
-    @pytest.mark.parametrize("pair", [(3, 3), (2, 5), (5, 3), (3, 9)])
+    @pytest.mark.parametrize("pair", [(3, 3), (2, 5), (5, 3), (3, 9),
+                                      (3, 5.0), (np.int64(3), 5), (True, 5), (3, "5")])
     def test_rejects_bad_pairs(self, pair):
-        with pytest.raises(ValueError):
+        message = f"need odd primes p1 < p2, got ({pair[0]!r}, {pair[1]!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_odd_pq(*pair)
 
     def test_rejects_pairs_past_the_table_cap(self):
@@ -288,10 +313,18 @@ class TestSqrtComplement:
         with pytest.raises(SelectionError, match="not residual"):
             build_sqrt_complement(7, overrides=(1, 21))
 
-    @pytest.mark.parametrize("m", [4, 3, 25])
+    @pytest.mark.parametrize("m", [4, 3, 25, 7.0, np.int64(7), "7"])
     def test_rejects_bad_m(self, m):
-        with pytest.raises(ValueError):
+        message = f"need odd m with 5 <= m <= 23, got {m!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_sqrt_complement(m)
+
+    @pytest.mark.parametrize("overrides", [(21.9, 27), (21, np.int64(27)), ("21", 27)])
+    def test_rejects_overrides_that_are_not_plain_ints(self, overrides):
+        # 21.9 used to be truncated to 21 and accepted
+        message = f"overrides must be ints, got {overrides!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_sqrt_complement(7, overrides=overrides)
 
 
 WEIGHT_CLASS_CASES = {
@@ -347,10 +380,69 @@ class TestWeightClassConstruction:
         z, _ = build_weight_class(m, i)
         assert len(z) == 2 ** (m - 1) - 1
 
-    @pytest.mark.parametrize("args", [(7, 0), (8, 0), (9, 2), (25, 1)])
+    # (9, True) used to be taken as i = 1 and printed as "i": true
+    @pytest.mark.parametrize("args", [(7, 0), (8, 0), (9, 2), (25, 1), (9.0, 1),
+                                      (np.int64(9), 0), (9, True), (9, 1.0), (9, "0")])
     def test_rejects_bad_arguments(self, args):
-        with pytest.raises(ValueError):
+        m, i = args
+        shown = i if type(m) is int and m == 9 else m
+        with pytest.raises(ValueError, match=re.escape(f"got {shown!r}") + "$"):
             build_weight_class(*args)
+
+
+class TestComplementPairs:
+    def test_missing_partner_is_named(self):
+        # -C_3 is C_31 mod 127, which the mask leaves out
+        table = build_table(7)
+        with pytest.raises(InvariantError, match="^coset 3 has no distinct complement partner$"):
+            _complement_pairs(table, table.union_mask([3]))
+
+    def test_self_paired_coset_is_named(self):
+        # C_5 = {5, 10} mod 15 is its own negation
+        table = build_table(4)
+        with pytest.raises(InvariantError, match="^coset 5 has no distinct complement partner$"):
+            _complement_pairs(table, table.union_mask([5]))
+
+    def test_lower_of_two_lone_cosets_is_named(self):
+        # C_1 and C_63 pair up; C_3 and C_5 have no partner, and 3 is named
+        table = build_table(7)
+        mask = table.union_mask([1, 5, 3, 63])
+        assert int(table.leader_of[127 - 5]) not in (1, 3, 5, 63)
+        with pytest.raises(InvariantError, match="^coset 3 has"):
+            _complement_pairs(table, mask)
+
+    @staticmethod
+    def _scan(table, mask):
+        """The pairing as an ascending scan: each leader not yet paired
+        takes the leader of its negation; the message if one cannot."""
+        leaders = sorted(set(table.leader_of[mask].tolist()))
+        pairs, seen = [], set()
+        for ell in leaders:
+            if ell in seen:
+                continue
+            partner = int(table.leader_of[table.n - ell])
+            if partner not in leaders or partner == ell:
+                return f"coset {ell} has no distinct complement partner"
+            seen.update((ell, partner))
+            pairs.append((ell, partner))
+        return pairs
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+    def test_matches_an_ascending_scan(self, m):
+        rng = np.random.default_rng(m)
+        table = build_table(m)
+        nonzero = table.leaders[1:]
+        for _ in range(40):
+            chosen = rng.choice(nonzero, size=rng.integers(1, nonzero.size + 1), replace=False)
+            mask = table.union_mask(chosen)
+            if rng.random() < 0.5:
+                mask |= negated_mask(mask)  # closed under negation, so pairs can form
+            expected = self._scan(table, mask)
+            if isinstance(expected, str):
+                with pytest.raises(InvariantError, match=f"^{expected}$"):
+                    _complement_pairs(table, mask)
+            else:
+                assert _complement_pairs(table, mask) == expected
 
 
 class TestOrigins:

@@ -870,6 +870,13 @@ class TestAutoDispatch:
         assert auto_distance(code).method == "exhaustive"
         assert auto_distance(code, budget=8, seed=4, iterations=10).method == "search"
 
+    @pytest.mark.parametrize("budget", [8.5, True, np.int64(8), "33", None])
+    def test_rejects_a_budget_that_is_not_a_plain_int(self, budget):
+        # checked before the route is chosen: the numbers would send this
+        # [15,9] code to the search unchecked, the others cannot be compared
+        with pytest.raises(ValueError, match="^budget must be an int$"):
+            auto_distance(_code(15, EXAMPLE1_Z1), budget=budget, seed=4, iterations=10)
+
 
 class TestResultSerialization:
     def test_as_dict_round_trips(self):

@@ -16,7 +16,9 @@ The list covers ``construct --json`` and ``export`` for every family at
 several sizes, the human and ``--elements-only`` forms, the six
 ``construct-large`` commands at m = 17..22 (both choices of ``--which``
 and ``--i``), ``--elements-only`` at m = 20 and the m = 22 ``export``
-written to an ``--output`` file, ``analyze`` and ``export`` with each
+written to an ``--output`` file, the even-m C2 set and audit at m = 22,
+a ``--swap-pairs`` export at m = 16 and a weight-class export at m = 19,
+``analyze`` and ``export`` with each
 distance engine (``analyze -`` reading its residues from stdin, in human
 and JSON form; a [31,20] code whose set holds 0 and a [31,21] code whose
 dual's longest run wraps past n - 1, the [31,30] code of Z = {0} by
@@ -84,6 +86,10 @@ LARGE = (
     ["construct", "even-m", "--m", "20", "--which", "C1", "--elements-only"],
     # the m = 22 set through the file writer
     ["export", "two-prime", "--p", "11", "--output", SCRATCH + "/tp11.json"],
+    # the even-m split at m = 22, whose audit holds two pair preimages of 351,692 residues
+    ["construct", "even-m", "--m", "22", "--which", "C2", "--json"],
+    ["export", "even-m", "--m", "16", "--which", "C1", "--swap-pairs"],
+    ["export", "weight-class", "--m", "19", "--i", "0"],
 )
 
 #: The cosets of 1 and 3 mod 15 (a [15,7,5] code), for ``analyze``.
