@@ -85,7 +85,12 @@ class DefiningSet:
     def from_elements(
         cls, n: int, elements, origin: Mapping[str, object] | None = None
     ) -> "DefiningSet":
-        values = [int(x) for x in elements]
+        """The set of ``elements``, Python or numpy ints; a float, string or bool raises."""
+        values = list(elements)
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"elements must be ints, got {x!r}")
+        values = [int(x) for x in values]
         # checked as Python ints: a value past int64 must not reach numpy
         if values and not 0 <= min(values) <= max(values) < n:
             raise ValueError(f"elements outside Z_{n}")
@@ -461,8 +466,8 @@ def build_sqrt_complement(m: int, overrides=None):
         selected = [ell for ell, _ in pairs]
         overrides_used = None
     else:
-        overrides = tuple(overrides)
-        if not all(map(_is_int, overrides)):
+        overrides = tuple(overrides) if np.iterable(overrides) else overrides
+        if not isinstance(overrides, tuple) or not all(map(_is_int, overrides)):
             raise ValueError(f"overrides must be ints, got {overrides!r}")
         overrides_used = tuple(sorted(overrides))
         repeated = sorted({a for a, b in zip(overrides_used, overrides_used[1:]) if a == b})

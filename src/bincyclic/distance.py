@@ -4,10 +4,10 @@ Three engines share one result type:
 
 * :func:`exact_min_distance` enumerates every nonzero message in Gray
   order, so consecutive codewords differ by one XOR with a shifted copy
-  of the generator.  The low bits of the message index a precomputed
-  block of XOR combinations; each worker keeps its own copy of that
-  block as codewords, and a step XORs the toggled row into it in place
-  and popcounts it into a buffer allocated once.
+  of the generator.  The low bits of the message index a block of XOR
+  combinations from :func:`_fill_subset_xors`; each worker keeps its own
+  copy of that block as codewords, and a step XORs the toggled row into
+  it in place and popcounts it into a buffer allocated once.
   Exact, and independent of the number of workers.
 * :func:`proven_min_distance` enumerates systematic messages by
   information weight on one window of k consecutive positions.  Any k
@@ -131,11 +131,10 @@ def _proved(code: CyclicCode, method: str, weight: int, witness: int, iterations
 
 
 def _to_lanes(words, lanes: int) -> np.ndarray:
-    """Ints below 2^(64*lanes) as a (lanes, len(words)) block, least
-    significant lane first; :func:`_lanes_to_int` inverts each column."""
-    low = (1 << 64) - 1
-    return np.array([[(word >> shift) & low for word in words]
-                     for shift in range(0, 64 * lanes, 64)], dtype=np.uint64)
+    """Ints below 2^(64*lanes) as a C-contiguous (lanes, len(words)) block,
+    packed through little-endian bytes as :func:`_lanes_to_int` unpacks."""
+    data = b"".join(word.to_bytes(8 * lanes, "little") for word in words)
+    return np.array(np.frombuffer(data, "<u8").reshape(-1, lanes).T, np.uint64, order="C")
 
 
 def _shift_rows(code: CyclicCode) -> np.ndarray:
@@ -151,6 +150,15 @@ def _popcount(block: np.ndarray) -> np.ndarray:
 
 def _lanes_to_int(lanes: np.ndarray) -> int:
     return int.from_bytes(lanes.astype("<u8").tobytes(), "little")
+
+
+def _fill_subset_xors(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill a (lanes, 2^h[, B]) table in place so that entry s is the XOR
+    of the (lanes, h[, B]) ``rows`` named by the bits of s; return it."""
+    table[:, 0] = 0
+    for i in range(rows.shape[1]):  # row i doubles the filled prefix
+        np.bitwise_xor(table[:, :1 << i], rows[:, i:i + 1], out=table[:, 1 << i:2 << i])
+    return table
 
 
 def _smallest(block: np.ndarray, hits: np.ndarray) -> int:
@@ -192,7 +200,7 @@ def _scan_range(
     scored = 0
     for t in range(t_start, t_stop):
         if t != t_start:
-            words ^= high_rows[:, _ntz(t), None]
+            words ^= high_rows[:, (t & -t).bit_length() - 1, None]
         np.bitwise_count(words[0], out=weights)
         for lane in words[1:]:
             np.bitwise_count(lane, out=lane_counts)
@@ -207,10 +215,6 @@ def _scan_range(
             if wmin < best_w or witness < best_wit:
                 best_w, best_wit = wmin, witness
     return best_w, best_wit, scored
-
-
-def _ntz(t: int) -> int:
-    return (t & -t).bit_length() - 1
 
 
 def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) -> DistanceResult:
@@ -240,16 +244,11 @@ def exact_min_distance(code: CyclicCode, *, budget: int = 33, threads: int = 1) 
 
     rows = _shift_rows(code)
     lanes = rows.shape[0]
-    # Low bits become one in-memory block of XOR combinations.
     h_cap = max(1, (_BLOCK_BYTES // (8 * lanes)).bit_length() - 1)
     h = min(k, 16, h_cap)
-    combos = np.zeros((lanes, 1), dtype=np.uint64)
-    for b in range(h):
-        combos = np.hstack([combos, combos ^ rows[:, b, None]])
+    combos = _fill_subset_xors(np.empty((lanes, 1 << h), dtype=np.uint64), rows[:, :h])
     high_rows = rows[:, h:]
-    r = k - h
-
-    total = 1 << r
+    total = 1 << (k - h)
     if threads == 1:
         results = [_scan_range(combos, high_rows, 0, total)]
     else:
@@ -284,24 +283,21 @@ def _systematic_parity(code: CyclicCode) -> np.ndarray:
 def _extend_tails(tails: list, rows: np.ndarray) -> None:
     """Append the table of all (t+1)-subsets to ``tails``.
 
-    ``tails[t - 1]`` is ``(xors, offsets)``: the XOR of every
-    t-subset of rows, sorted by first index, and ``offsets[j]``, the
-    position of the first subset whose first index is >= j.  Each table
-    lists its subsets in lexicographic order, so entry ``idx`` of the
-    t-subset table is the ``idx``-th t-subset of ``range(k)``.  Rows and
-    tables index their subsets on the last axis, so a (lanes, B, k)
-    stack of B row sets gets B tables side by side.
+    ``tails[t - 1]`` is the XOR of every t-subset of rows in lexicographic
+    order: entry ``idx`` is the ``idx``-th t-subset of ``range(k)``, and
+    the subsets whose first index is >= j start at C(k, t) - C(k - j, t).
+    Rows and tables index their subsets on the last axis, so a (lanes, B,
+    k) stack of B row sets gets B tables side by side.
     """
     k = rows.shape[-1]
     if not tails:
-        tails.append((rows, np.arange(k + 1)))
+        tails.append(rows)
         return
-    prev, prev_off = tails[-1]
-    counts = prev.shape[-1] - prev_off[1:]  # subsets that start after row i
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    after = np.arange(offsets[-1]) + np.repeat(prev_off[1:] - offsets[:-1], counts)
-    tails.append((np.take(prev, after, axis=-1) ^ np.repeat(rows, counts, axis=-1), offsets))
+    t = len(tails)
+    counts = np.array([comb(k - 1 - i, t) for i in range(k)])  # t-subsets after row i
+    firsts = np.cumsum(counts) - counts  # where the (t+1)-subsets led by row i start
+    after = np.arange(counts.sum()) + np.repeat(comb(k, t) - counts - firsts, counts)
+    tails.append(np.take(tails[-1], after, axis=-1) ^ np.repeat(rows, counts, axis=-1))
 
 
 def _subset_blocks(rows: np.ndarray, tails: list, w: int):
@@ -325,9 +321,10 @@ def _subset_blocks(rows: np.ndarray, tails: list, w: int):
         t += 1
     while len(tails) < t:
         _extend_tails(tails, rows)
-    table, offsets = tails[t - 1]
+    table = tails[t - 1]
+    starts = [comb(k, t) - comb(k - j, t) for j in range(k + 1)]
     for head in combinations(range(k - t), w - t):
-        start = int(offsets[head[-1] + 1]) if head else 0
+        start = starts[head[-1] + 1] if head else 0
         block = table[..., start:]
         if len(head) == 1:
             block = block ^ rows[..., head[0], None]
@@ -466,12 +463,13 @@ def _reduce_batch(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
     pivot, into the other rows that have the bit, so the upper c bits of
     each word name the pivot rows, as they stood when the strip began,
     that the strip adds to its row.  A table per basis of the 2^c XORs of
-    those pivot rows then gives every row, pivots included, its value
-    after the strip in one gather and XOR per lane.  The table holds at
-    most half as many words as the stack (k >= 4).  On one core, strips
-    of 4 to 7 columns ran within a few percent of each other on the
-    [127,64] (B = 257, 2 lanes) and [1023,512] (B = 7, 16 lanes) batches,
-    strips of one column 1.6 and 2.7 times slower.
+    those pivot rows (:func:`_fill_subset_xors`) then gives every row,
+    pivots included, its value after the strip in one gather and XOR per
+    lane.  The table holds at most half as many words as the stack
+    (k >= 4).  On one core, strips of 4 to 7 columns ran within a few
+    percent of each other on the [127,64] (B = 257, 2 lanes) and
+    [1023,512] (B = 7, 16 lanes) batches, strips of one column 1.6 and
+    2.7 times slower.
     Raises :class:`SearchError` if a basis runs out of columns before it
     has k pivots.
     """
@@ -483,7 +481,7 @@ def _reduce_batch(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
     at = np.arange(batch)
     flat_at = at * k
     pivots = np.empty((c, batch), dtype=np.intp)
-    table = np.zeros((lanes, 1 << c, batch), dtype=np.uint64)
+    table = np.empty((lanes, 1 << c, batch), dtype=np.uint64)
     words = np.empty((batch, k), dtype=np.uint16)  # c strip bits, c pivot flags: c <= 8
     hits = np.empty((batch, k), dtype=bool)
     scratch = np.empty((batch, k), dtype=np.uint16)
@@ -506,11 +504,7 @@ def _reduce_batch(rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
             hits.ravel()[at_pivot] = False
             words ^= np.multiply(hits, pivot_words[:, None], out=scratch)
             free.ravel()[at_pivot] ^= took
-        combos = table[:, :1 << w]  # combos[:, m, b]: XOR of b's pivot rows that m's bits name
-        combos[:, 1 << np.arange(w)] = basis[:, at, pivots[:w]]
-        for t in range(1, w):
-            h = 1 << t
-            np.bitwise_xor(combos[:, 1:h], combos[:, h, None], out=combos[:, h + 1:2 * h])
+        combos = _fill_subset_xors(table[:, :1 << w], basis[:, at, pivots[:w]])
         index = (words >> np.uint16(c)) * np.intp(batch) + at[:, None]
         for lane, lane_combos in zip(basis, combos.reshape(lanes, -1)):
             lane ^= lane_combos.take(index)

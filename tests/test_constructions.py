@@ -60,6 +60,19 @@ class TestDefiningSet:
         with pytest.raises(ValueError, match="elements outside Z_15"):
             DefiningSet.from_elements(15, (1, 2, 4, 8, outside))
 
+    @pytest.mark.parametrize("elements", [[1.9, 2, 4, 8], ["1", "2", "4", "8"], [True, 2, 4, 8],
+                                          [np.bool_(True), 2, 4, 8]])
+    def test_rejects_elements_that_are_not_ints(self, elements):
+        # each of these used to be read as {1, 2, 4, 8} through int(x)
+        with pytest.raises(ValueError, match=re.escape(f"elements must be ints, got {elements[0]!r}")):
+            DefiningSet.from_elements(15, elements)
+
+    def test_accepts_numpy_integers(self):
+        want = DefiningSet.from_elements(15, (1, 2, 4, 8))
+        assert DefiningSet.from_elements(15, np.array([8, 4, 2, 1], dtype=np.uint16)) == want
+        assert DefiningSet.from_elements(15, [np.int64(1), 2, np.int32(4), 8]) == want
+        assert DefiningSet.from_elements(15, want.elements) == want
+
     @pytest.mark.parametrize("length", [5, 9])
     def test_from_mask_needs_one_entry_per_residue(self, length):
         with pytest.raises(ValueError, match="Z_7"):
@@ -319,9 +332,10 @@ class TestSqrtComplement:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_sqrt_complement(m)
 
-    @pytest.mark.parametrize("overrides", [(21.9, 27), (21, np.int64(27)), ("21", 27)])
+    @pytest.mark.parametrize("overrides", [(21.9, 27), (21, np.int64(27)), ("21", 27), 21, 21.5])
     def test_rejects_overrides_that_are_not_plain_ints(self, overrides):
-        # 21.9 used to be truncated to 21 and accepted
+        # 21.9 used to be truncated to 21 and accepted, and a lone 21 failed
+        # with a bare TypeError
         message = f"overrides must be ints, got {overrides!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             build_sqrt_complement(7, overrides=overrides)

@@ -36,6 +36,7 @@ from bincyclic.cosets import build_table
 from bincyclic.distance import (
     BudgetExceeded,
     SearchError,
+    _fill_subset_xors,
     _lanes_to_int,
     _popcount,
     _scan_range,
@@ -581,6 +582,39 @@ def test_subset_blocks_cover_every_subset_once(monkeypatch, tail_words):
                        for row in (block if stack is None else block[:, b]).T]
                 want = [functools.reduce(operator.xor, s) for s in itertools.combinations(words, w)]
                 assert got == want, (lanes, stack, w, b)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("stack", [None, 1, 3])
+def test_fill_subset_xors_matches_reduce_over_subsets(lanes, stack):
+    # entry s XORs the rows named by the bits of s; stack None is a
+    # (lanes, 2^h) table of (lanes, h) rows, else a (lanes, 2^h, stack)
+    # table of (lanes, h, stack) rows
+    rng = random.Random(10 * lanes + (stack or 0))
+    for h in range(7):
+        sets = [[rng.getrandbits(64 * lanes) for _ in range(h)] for _ in range(stack or 1)]
+        rows = np.stack([_to_lanes(words, lanes) for words in sets], axis=-1)
+        # a reused table: every old entry, entry 0 included, must be overwritten
+        table = np.full(rows.shape[:1] + (1 << h,) + rows.shape[2:], (1 << 64) - 1, dtype=np.uint64)
+        if stack is None:
+            rows, table = rows[..., 0], table[..., 0]
+        assert _fill_subset_xors(table, rows) is table
+        for b, words in enumerate(sets):
+            got = [_lanes_to_int(word) for word in (table if stack is None else table[..., b]).T]
+            want = [functools.reduce(operator.xor, (words[i] for i in range(h) if s >> i & 1), 0)
+                    for s in range(1 << h)]
+            assert got == want, (lanes, stack, h, b)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 16])
+def test_to_lanes_round_trips_through_lanes_to_int(lanes):
+    words = [0, (1 << 64 * lanes) - 1, 1 << (64 * lanes - 1), random.Random(lanes).getrandbits(64 * lanes)]
+    block = _to_lanes(words, lanes)
+    assert block.dtype == np.uint64 and block.shape == (lanes, len(words))
+    assert block.flags.c_contiguous and block.flags.writeable
+    assert [_lanes_to_int(block[:, i]) for i in range(len(words))] == words
+    assert block[-1, 2] == np.uint64(1 << 63) and not block[:-1, 2].any()
+    assert _to_lanes([], lanes).shape == (lanes, 0)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3, 8])

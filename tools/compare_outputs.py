@@ -25,7 +25,8 @@ dual's longest run wraps past n - 1, the [31,30] code of Z = {0} by
 the proof engine and the [31,1] code of Z_31 minus {0} by the sweep; the
 exhaustive sweep also on the empty set, on two-lane codes of length 127,
 once with two threads, on a four-lane [255,18] code with one and two
-threads, and on a [63,24] code
+threads, on a 64-lane [4095,16] code, whose block of combinations is
+cut to 2^15 by the per-worker ceiling, and on a [63,24] code
 with 64 threads asked for; the search also for enough iterations to span several
 reduction batches, at depth 3 on the 16-lane [1023,512] code, whose
 prefix walk runs on the widest block, at depth 3 on the [127,63]
@@ -102,8 +103,8 @@ def _residues_outside(m: int, outside: tuple[int, ...]) -> str:
     """Every residue mod 2^m - 1 outside the cyclotomic cosets of
     ``outside``, for ``analyze``: at m = 5 a code of dimension 20 or 21,
     at m = 6 a [63,24] code, at m = 7 a code of dimension 15 or 22 on two
-    uint64 lanes, at m = 8 a [255,18] code on four, at m = 13 an [8191,14]
-    code."""
+    uint64 lanes, at m = 8 a [255,18] code on four, at m = 12 a [4095,16]
+    code on 64, at m = 13 an [8191,14] code."""
     n = (1 << m) - 1
     free = {(x << j) % n for x in outside for j in range(m)}
     return " ".join(str(r) for r in range(n) if r not in free)
@@ -125,6 +126,8 @@ ENGINE_RUNS = (
     # four lanes, whose weights need uint16; two workers take two Gray steps each
     ["analyze", SCRATCH + "/m8k18.txt", "--m", "8", "--engine", "exhaustive", "--json"],
     ["analyze", SCRATCH + "/m8k18.txt", "--m", "8", "--engine", "exhaustive", "--threads", "2", "--json"],
+    # 64 lanes: the block is capped at 2^15 combinations, so the Gray walk takes two steps
+    ["analyze", SCRATCH + "/m12k16.txt", "--m", "12", "--engine", "exhaustive", "--json"],
     # more workers asked for than any host has cores
     ["analyze", SCRATCH + "/m6k24.txt", "--m", "6", "--engine", "exhaustive", "--threads", "64", "--json"],
     ["analyze", SCRATCH + "/m13k14.txt", "--m", "13", "--engine", "proof", "--json"],
@@ -249,8 +252,8 @@ def record(outdir: Path, run_command) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         # analyze reads residues from files: the [15,7] code, the empty set, two-prime
         # p = 3's [63,32], a [63,24] code, three codes of length 127 (one the sqrt-m7
-        # dual), one of length 255, one of length 8191, four of length 31 and one
-        # residue past int64
+        # dual), one of length 255, one of length 4095, one of length 8191, four of
+        # length 31 and one residue past int64
         _, p3_residues, _ = _run(run_command, ["construct", "two-prime", "--p", "3", "--elements-only"])
         _, z7_residues, _ = _run(run_command, ["construct", "sqrt", "--m", "7", "--choose", "21,27",
                                                "--elements-only"])
@@ -264,6 +267,7 @@ def record(outdir: Path, run_command) -> int:
         Path(scratch, "m7k15.txt").write_text(_residues_outside(7, (0, 1, 5)), encoding="utf-8")
         Path(scratch, "m7k22.txt").write_text(_residues_outside(7, (0, 1, 5, 9)), encoding="utf-8")
         Path(scratch, "m8k18.txt").write_text(_residues_outside(8, (1, 3, 85)), encoding="utf-8")
+        Path(scratch, "m12k16.txt").write_text(_residues_outside(12, (1, 273)), encoding="utf-8")
         Path(scratch, "m13k14.txt").write_text(_residues_outside(13, (0, 1)), encoding="utf-8")
         Path(scratch, "m5z0.txt").write_text(_residues_outside(5, (5, 7, 11, 15)), encoding="utf-8")
         Path(scratch, "m5wrap.txt").write_text(_residues_outside(5, (0, 1, 7, 11, 15)), encoding="utf-8")
