@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codecore import CyclicCode, InvariantError, assemble, describe
+from .codecore import InvariantError, assemble, describe
 from .constructions import FAMILIES, DefiningSet, build_family
 from .cosets import build_table
 from .distance import (
@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
 
     p_ex = sub.add_parser("export", help="construct + optional analysis as one JSON document")
     for family_parser in _add_family_args(p_ex):
-        _add_engine_args(family_parser, default_engine="none")
+        _add_engine_args(family_parser, optional=True)
         family_parser.add_argument("--output", metavar="FILE",
                                    help="write JSON here (default stdout)")
         family_parser.set_defaults(json=True, hex=False, elements_only=False)
@@ -113,11 +113,26 @@ def _add_family_args(parser: _Parser) -> list[_Parser]:
     return family_parsers
 
 
-def _add_engine_args(parser: _Parser, default_engine: str = "auto") -> None:
-    choices = ("auto", "exhaustive", "search", "proof")
-    if default_engine == "none":
-        choices = ("none",) + choices
-    parser.add_argument("--engine", choices=choices, default=default_engine,
+#: The one table from each ``--engine`` name to the call it makes on
+#: ``(code, args)``.  Each entry looks its engine up in this module when it
+#: runs, so a wrapper put in place of the module attribute is the one called.
+_ENGINES = {
+    "auto": lambda code, args: auto_distance(
+        code, budget=args.budget, seed=args.seed, iterations=args.iters,
+        depth=args.depth, threads=args.threads),
+    "exhaustive": lambda code, args: exact_min_distance(
+        code, budget=args.budget, threads=args.threads),
+    "search": lambda code, args: low_weight_search(
+        code, seed=args.seed, iterations=args.iters, depth=args.depth),
+    "proof": lambda code, args: proven_min_distance(code),
+}
+
+
+def _add_engine_args(parser: _Parser, optional: bool = False) -> None:
+    """The distance options; ``optional`` puts ``none`` (no distance)
+    first, and the first choice is the default."""
+    choices = ["none", *_ENGINES] if optional else list(_ENGINES)
+    parser.add_argument("--engine", choices=choices, default=choices[0],
                         help="distance engine; 'proof' is the information-weight "
                              "enumeration, which ignores --budget and --threads")
     parser.add_argument("--budget", type=int, default=33,
@@ -320,23 +335,6 @@ def _read_elements(source: str) -> list[int]:
         return [int(tok) for tok in fh.read().replace(",", " ").split()]
 
 
-def _run_distance(code: CyclicCode, args):
-    if args.engine == "exhaustive":
-        return exact_min_distance(code, budget=args.budget, threads=args.threads)
-    if args.engine == "search":
-        return low_weight_search(code, seed=args.seed, iterations=args.iters, depth=args.depth)
-    if args.engine == "proof":
-        return proven_min_distance(code)
-    return auto_distance(
-        code,
-        budget=args.budget,
-        seed=args.seed,
-        iterations=args.iters,
-        depth=args.depth,
-        threads=args.threads,
-    )
-
-
 def _cmd_cosets(args) -> int:
     table = build_table(args.m)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -354,7 +352,7 @@ def _report(zset: DefiningSet, audit, args) -> int:
     code = None if args.engine == "none" else assemble(zset)
     generator = None if code is None else code.generator
     report = describe(zset, generator=generator)
-    result = None if code is None else _run_distance(code, args)
+    result = None if code is None else _ENGINES[args.engine](code, args)
     if not args.json:
         _print_report(report, generator, args.hex)
         if result is not None:

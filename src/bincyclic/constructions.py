@@ -35,7 +35,6 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from types import SimpleNamespace
 from typing import Callable, Mapping
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from .cosets import (CosetTable, _is_prime, build_table, classify_by_size, negated_mask,
                      weight_classes)
-from .gf2 import InvariantError, _is_int
+from .gf2 import InvariantError, _is_int, _is_integer
 
 
 class SelectionError(ValueError):
@@ -85,10 +84,14 @@ class DefiningSet:
     def from_elements(
         cls, n: int, elements, origin: Mapping[str, object] | None = None
     ) -> "DefiningSet":
-        """The set of ``elements``, Python or numpy ints; a float, string or bool raises."""
-        values = list(elements)
+        """The set of ``elements``, an iterable of Python or numpy ints; a
+        float, string or bool, or an ``elements`` that is not iterable, raises."""
+        try:
+            values = list(elements)
+        except TypeError:
+            raise ValueError(f"elements must be an iterable of ints, got {elements!r}") from None
         for x in values:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            if not _is_integer(x):
                 raise ValueError(f"elements must be ints, got {x!r}")
         values = [int(x) for x in values]
         # checked as Python ints: a value past int64 must not reach numpy
@@ -280,7 +283,8 @@ def _greedy_select(
     first ``direct_allotment(sigma0)`` secondary cosets.  Otherwise
     ("extended") the prefix grows to sigma_lo in ascending order, skipping
     the cosets that meet the dual tail {n - tail_len..n - 1}, and every
-    secondary coset joins.  The base cosets always join.
+    secondary coset joins.  The base cosets always join.  Both choices are
+    ``np.isin`` masks over the full-size leaders, read into the audit's tuples.
 
     Returns ``(mask, chosen secondary leaders, selection, chosen full
     leaders, bounds)``.  ``selection`` (``f_leaders`` to ``case``) and
@@ -288,38 +292,36 @@ def _greedy_select(
     each builder places its own fields around them.
     """
     n = table.n
-    met = table.leaders_in(slice(1, d0_max + 1))
-    full_set = set(full_leaders)
-    f_leaders = tuple(v for v in met if v in full_set)
-    if not f_leaders:
+    full = np.asarray(full_leaders)
+    hits = np.flatnonzero(np.isin(full, table.leader_of[1 : d0_max + 1]))
+    if not hits.size:
         raise InvariantError("no full-size coset meets the run block")
-    sigma0 = full_leaders.index(max(f_leaders)) + 1
+    sigma0 = int(hits[-1]) + 1
     tail_leaders = table.leaders_in(slice(n - tail_len, n))
 
     if sigma0 >= sigma_lo:
-        case = "direct"
-        sigma = sigma0
-        chosen_full = full_leaders[:sigma0]
+        case, sigma = "direct", sigma0
         n_secondary = direct_allotment(sigma0)
         if not 0 <= n_secondary <= len(secondary_leaders):
             raise InvariantError(f"allotment {n_secondary} outside 0..{len(secondary_leaders)}")
         chosen_secondary = secondary_leaders[:n_secondary]
+        extension = ()
     else:
-        case = "extended"
-        sigma = sigma_lo
-        admissible = (ell for ell in full_leaders[sigma0:] if ell not in tail_leaders)
-        chosen_full = full_leaders[:sigma0] + tuple(islice(admissible, sigma_lo - sigma0))
-        if len(chosen_full) != sigma_lo:
+        case, sigma = "extended", sigma_lo
+        rest = full[sigma0:]
+        extension = tuple(rest[~np.isin(rest, tail_leaders)][: sigma_lo - sigma0].tolist())
+        if sigma0 + len(extension) != sigma_lo:
             raise InvariantError("ran out of admissible cosets during extension")
         chosen_secondary = secondary_leaders
+    chosen_full = full_leaders[:sigma0] + extension
 
     mask = table.union_mask(base_leaders + chosen_full + chosen_secondary)
     if not mask[1 : d0_max + 1].all():
         raise InvariantError("the guaranteed run must sit inside Z")
     if mask[n - tail_len :].any():
         raise InvariantError("the dual tail must stay outside Z")
-    selection = {"f_leaders": f_leaders, "sigma0": sigma0, "sigma_lo": sigma_lo,
-                 "sigma": sigma, "case": case}
+    selection = {"f_leaders": tuple(full[hits].tolist()), "sigma0": sigma0,
+                 "sigma_lo": sigma_lo, "sigma": sigma, "case": case}
     bounds = {"forbidden_leaders": tail_leaders,
               "tail_first": n - tail_len, "tail_last": n - 1}
     return mask, chosen_secondary, selection, chosen_full, bounds

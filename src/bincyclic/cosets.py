@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import InvariantError, _prime_factors, check_field_degree
+from .gf2 import InvariantError, _int_array, _is_integer, _prime_factors, check_field_degree
 
 BitVector = tuple[int, ...]
 
 
 def coset_of(x: int, n: int) -> set[int]:
     """Orbit of ``x`` under doubling mod ``n`` (n odd)."""
+    if not (_is_integer(x) and _is_integer(n)):
+        raise ValueError(f"residue and modulus must be integers, got {x!r} and {n!r}")
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and positive, got {n}")
     if not 0 <= x < n:
@@ -56,6 +58,8 @@ class CosetTable:
 
     def size_of(self, x: int) -> int:
         """Size of the coset containing residue ``x``."""
+        if not _is_integer(x):
+            raise ValueError(f"residue must be an integer, got {x!r}")
         if not 0 <= x < self.n:
             raise ValueError(f"residue {x} out of range for modulus {self.n}")
         leader = int(self.leader_of[x])
@@ -78,10 +82,10 @@ class CosetTable:
 
         One gather through ``leader_of`` from a boolean mask of the chosen
         leaders, so repeated leaders are harmless and no copy of
-        ``leader_of`` is made.  An entry outside [0, n) or one that is not
-        a coset leader raises ``ValueError``.
+        ``leader_of`` is made.  An entry outside [0, n), one that is not
+        a coset leader or one that is not an integer raises ``ValueError``.
         """
-        lead = np.asarray(leaders, dtype=np.int64)
+        lead = _int_array(leaders)
         bad = (lead < 0) | (lead >= self.n)
         if not bad.any():
             bad = self.leader_of[lead] != lead

@@ -33,6 +33,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer: bools are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _int_array(values) -> np.ndarray:
+    """``values`` as an int64 array.  It is read with no forced dtype, so a
+    non-empty input whose values are not integers (floats, strings, bools)
+    raises ``ValueError`` instead of being cast; an empty one is allowed."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"expected integers, got values of dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def check_field_degree(m: int) -> None:
     """Raise ``ValueError`` unless ``m`` is an int in [2, MAX_FIELD_DEGREE]."""
     if not _is_int(m) or not 2 <= m <= MAX_FIELD_DEGREE:
@@ -50,6 +65,8 @@ class InvariantError(RuntimeError):
 
 def poly_degree(a: BinaryPolynomial) -> int | None:
     """Degree of ``a``; ``None`` for the zero polynomial (sentinel)."""
+    if a < 0:
+        raise ValueError("negative value is not a polynomial encoding")
     if a == 0:
         return None
     return a.bit_length() - 1
@@ -61,6 +78,8 @@ def poly_mul(a: BinaryPolynomial, b: BinaryPolynomial) -> BinaryPolynomial:
     Shift-and-XOR over the set bits of the sparser operand; for nonzero
     inputs ``deg(a*b) = deg(a) + deg(b)``.
     """
+    if a < 0 or b < 0:
+        raise ValueError("negative value is not a polynomial encoding")
     if a == 0 or b == 0:
         return 0
     if a.bit_count() > b.bit_count():
@@ -79,8 +98,11 @@ def poly_divrem(
     """Euclidean division: returns ``(q, r)`` with ``a = q*b ^ r`` (XOR is
     addition here) and ``deg(r) < deg(b)``.
 
-    Raises ZeroDivisionError for a zero divisor.
+    Raises ZeroDivisionError for a zero divisor and ValueError for a
+    negative operand.
     """
+    if a < 0 or b < 0:
+        raise ValueError("negative value is not a polynomial encoding")
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
     db = b.bit_length() - 1
@@ -217,7 +239,7 @@ class FieldContext:
         if poly < 0:
             raise ValueError("negative value is not a polynomial encoding")
         n = self.n
-        z = np.asarray(exps, dtype=np.int64).reshape(-1) % n
+        z = _int_array(exps).reshape(-1) % n
         out = np.zeros(z.size, dtype=self.antilog_table.dtype)
         if poly == 0 or z.size == 0:
             return out
@@ -293,7 +315,7 @@ def minimal_polynomials(ctx: FieldContext, leaders) -> list[BinaryPolynomial]:
     the prime subfield, and the degree equals the orbit size.
     """
     n = ctx.n
-    e = np.asarray(leaders, dtype=np.int64).reshape(-1)
+    e = _int_array(leaders).reshape(-1)
     bad = (e < 0) | (e >= n)
     if bad.any():
         raise ValueError(f"exponent must lie in [0, {n}), got {int(e[bad][0])}")

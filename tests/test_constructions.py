@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 
 import bincyclic
 
+from bincyclic import constructions
 from bincyclic.constructions import (
     DefiningSet,
     SelectionError,
     _complement_pairs,
+    _greedy_select,
     build_even_m,
     build_family,
     build_odd_pq,
@@ -65,6 +68,12 @@ class TestDefiningSet:
     def test_rejects_elements_that_are_not_ints(self, elements):
         # each of these used to be read as {1, 2, 4, 8} through int(x)
         with pytest.raises(ValueError, match=re.escape(f"elements must be ints, got {elements[0]!r}")):
+            DefiningSet.from_elements(15, elements)
+
+    @pytest.mark.parametrize("elements", [5, None])
+    def test_rejects_elements_that_are_not_iterable(self, elements):
+        message = f"elements must be an iterable of ints, got {elements!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             DefiningSet.from_elements(15, elements)
 
     def test_accepts_numpy_integers(self):
@@ -280,6 +289,65 @@ class TestOddPq:
     def test_rejects_pairs_past_the_table_cap(self):
         with pytest.raises(ValueError, match=r"p1\*p2 = 33 exceeds the table cap 24"):
             build_odd_pq(3, 11)
+
+
+def _walked_greedy_select(table, *, full_leaders, secondary_leaders, base_leaders, d0_max,
+                          sigma_lo, tail_len, direct_allotment):
+    """The greedy selection as a walk over Python sets and generators, the
+    reference for ``_greedy_select``: ``(f_leaders, sigma0, sigma, case,
+    chosen full leaders, chosen secondary leaders)``."""
+    n = table.n
+    met = table.leaders_in(slice(1, d0_max + 1))
+    full_set = set(full_leaders)
+    f_leaders = tuple(v for v in met if v in full_set)
+    sigma0 = full_leaders.index(max(f_leaders)) + 1
+    if sigma0 >= sigma_lo:
+        return (f_leaders, sigma0, sigma0, "direct", full_leaders[:sigma0],
+                secondary_leaders[:direct_allotment(sigma0)])
+    tail_leaders = table.leaders_in(slice(n - tail_len, n))
+    admissible = (ell for ell in full_leaders[sigma0:] if ell not in tail_leaders)
+    chosen_full = full_leaders[:sigma0] + tuple(islice(admissible, sigma_lo - sigma0))
+    return f_leaders, sigma0, sigma_lo, "extended", chosen_full, secondary_leaders
+
+
+class TestGreedySelect:
+    @pytest.mark.parametrize("build,params", [
+        (build_two_prime, (3,)), (build_two_prime, (5,)), (build_two_prime, (7,)),
+        (build_two_prime, (11,)), (build_odd_pq, (3, 5)), (build_odd_pq, (3, 7)),
+    ])
+    def test_matches_the_walk_over_sets(self, build, params, monkeypatch):
+        seen = []
+
+        def spy(table, **kwargs):
+            result = _greedy_select(table, **kwargs)
+            seen.append((_walked_greedy_select(table, **kwargs), result))
+            return result
+
+        monkeypatch.setattr(constructions, "_greedy_select", spy)
+        build(*params)
+        [(walked, (_, chosen_secondary, selection, chosen_full, _))] = seen
+        got = (selection["f_leaders"], selection["sigma0"], selection["sigma"],
+               selection["case"], chosen_full, chosen_secondary)
+        assert got == walked
+        assert all(type(v) is int for v in selection["f_leaders"] + chosen_full)
+        assert walked[3] == ("direct" if params == (3,) else "extended")
+
+    def test_extension_skips_the_leaders_of_the_dual_tail(self):
+        # neither builder's extension reaches a tail leader; at m = 10 one
+        # that runs past leader 127 (which meets the tail 1009..1022) must
+        # skip it and take the next two
+        table = build_table(10)
+        full = table.leaders_of_size(10)
+        keywords = dict(full_leaders=full, secondary_leaders=(), base_leaders=(), d0_max=5,
+                        sigma_lo=full.index(127) + 2, tail_len=14,
+                        direct_allotment=lambda sigma0: 0)
+        _, _, selection, chosen_full, bounds = _greedy_select(table, **keywords)
+        assert 127 in bounds["forbidden_leaders"]
+        at = full.index(127)
+        assert chosen_full == full[:at] + full[at + 1 : at + 3]
+        assert selection["f_leaders"] == (1, 3, 5)
+        assert (selection["sigma0"], selection["case"]) == (3, "extended")
+        assert _walked_greedy_select(table, **keywords)[4] == chosen_full
 
 
 class TestSqrtComplement:

@@ -61,6 +61,15 @@ class TestCosetOf:
         with pytest.raises(ValueError, match="odd and positive"):
             coset_of(1, n)
 
+    @pytest.mark.parametrize("x,n", [(1.5, 15), (1, 15.0), ("1", 15), (True, 15)])
+    def test_rejects_values_that_are_not_integers(self, x, n):
+        # the orbit of 1.5 mod 15 runs 3.0, 6.0, 12.0, 9.0 and never closed
+        with pytest.raises(ValueError, match="must be integers"):
+            coset_of(x, n)
+
+    def test_accepts_numpy_integers(self):
+        assert coset_of(np.int64(3), np.int32(15)) == {3, 6, 9, 12}
+
 
 class TestBuildTable:
     def test_m6_decomposition_matches_frozen_oracle(self):
@@ -77,6 +86,12 @@ class TestBuildTable:
         for lookup in (table.size_of, table.members):
             with pytest.raises(ValueError, match="out of range"):
                 lookup(x)
+
+    @pytest.mark.parametrize("x", [1.5, "1", True])
+    def test_size_of_refuses_what_is_not_an_integer(self, x):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_table(4).size_of(x)
+        assert build_table(4).size_of(np.int64(5)) == 2
 
     def test_m5_leaders(self):
         assert tuple(int(x) for x in build_table(5).leaders) == (0, 1, 3, 5, 7, 11, 15)
@@ -127,6 +142,17 @@ class TestBuildTable:
         # at m = 4, 6 lies in C_3 and -1 and 15 lie outside Z_15
         with pytest.raises(ValueError, match="not a coset leader mod 15"):
             build_table(4).union_mask(picked)
+
+    @pytest.mark.parametrize("picked", [["1"], [1.5], [True], [1, 3.0], np.array([1.0])])
+    def test_union_mask_refuses_what_is_not_an_integer(self, picked):
+        # each of these used to be cast to int64 and give the mask of C_1
+        with pytest.raises(ValueError, match="expected integers"):
+            build_table(4).union_mask(picked)
+
+    def test_union_mask_accepts_integer_arrays_and_nothing(self):
+        table = build_table(4)
+        assert table.union_mask(np.array([1, 5], dtype=np.uint8)).sum() == 6
+        assert not table.union_mask([]).any()
 
     def test_leaders_of_size(self):
         table = build_table(6)

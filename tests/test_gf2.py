@@ -264,6 +264,21 @@ class TestMinimalPolynomial:
         with pytest.raises(ValueError, match="exponent"):
             minimal_polynomial(ctx, e)
 
+    @pytest.mark.parametrize("exps", [[1.5], ["1"], [True], [1, 2.0], np.array([1.0])])
+    def test_exponents_that_are_not_integers_are_refused(self, exps):
+        # each of these used to be cast to int64 and read as beta^1 (or beta^2)
+        ctx = make_field(4)
+        with pytest.raises(ValueError, match="expected integers"):
+            minimal_polynomials(ctx, exps)
+        with pytest.raises(ValueError, match="expected integers"):
+            ctx.eval_at_powers(0b10011, exps)
+
+    def test_numpy_integer_exponents_are_accepted(self):
+        ctx = make_field(4)
+        for exps in (np.array([1, 3], dtype=np.uint8), np.array([1, 3], dtype=np.int32)):
+            assert minimal_polynomials(ctx, exps) == minimal_polynomials(ctx, [1, 3])
+            assert ctx.eval_at_powers(0b10011, exps).tolist() == [0, 6]
+
     def test_coefficient_outside_gf2_is_reported(self):
         # a context whose antilog table does not follow its log table
         ctx = make_field(4)
@@ -358,6 +373,17 @@ class TestPolynomialHelpers:
     def test_division_by_zero_is_refused(self):
         with pytest.raises(ZeroDivisionError):
             poly_divrem(1, 0)
+
+    @pytest.mark.parametrize("operation,args", [
+        (poly_mul, (-1, 3)), (poly_mul, (3, -1)), (poly_divrem, (5, -3)),
+        (poly_divrem, (-5, 3)), (poly_mod, (-1, 3)), (poly_degree, (-5,)),
+    ])
+    def test_negative_operands_are_refused(self, operation, args):
+        # poly_mul(-1, 3) never returned (a & -a never clears a negative
+        # int), nor did poly_divrem(-5, 3); poly_divrem(5, -3), poly_mod(-1, 3)
+        # and poly_degree(-5) gave (2, -1), -1 and 2
+        with pytest.raises(ValueError, match="negative value is not a polynomial encoding"):
+            operation(*args)
 
     @pytest.mark.parametrize("encode", [poly_to_bitstring, poly_to_hex])
     def test_negative_values_are_refused(self, encode):
