@@ -142,18 +142,17 @@ def _check_size(z: DefiningSet, size: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _complement_pairs(table: CosetTable, resid_mask: np.ndarray) -> list[tuple[int, int]]:
-    """``(ell, partner)`` for every coset C_ell met by ``resid_mask``, where
-    C_partner = -C_ell is its complement image; ascending, ell < partner.
-    Every partner must itself be met and differ from ell, or
-    :class:`InvariantError` names the least leader that fails."""
+def _complement_pairs(table: CosetTable, resid_mask: np.ndarray) -> np.ndarray:
+    """A (k, 2) array of ``(ell, partner)`` rows, one for every coset C_ell
+    met by ``resid_mask``, where C_partner = -C_ell is its complement image;
+    ascending, ell < partner.  Every partner must itself be met and differ
+    from ell, or :class:`InvariantError` names the least leader that fails."""
     leaders = np.unique(table.leader_of[resid_mask])
     partners = table.leader_of[table.n - leaders]
     lone = ~np.isin(partners, leaders) | (partners == leaders)
     if lone.any():
         raise InvariantError(f"coset {int(leaders[lone][0])} has no distinct complement partner")
-    keep = leaders < partners
-    return list(zip(leaders[keep].tolist(), partners[keep].tolist()))
+    return np.column_stack((leaders, partners))[leaders < partners]
 
 
 def build_even_m(m: int, *, swap_pairs: bool = False):
@@ -202,13 +201,12 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
     # Pair residual cosets with their complement images; the larger leader
     # goes to the first half (matching the worked m=6 split), unless swapped.
     table = build_table(m)
-    pairs = [
-        (small, big) if swap_pairs else (big, small)
-        for small, big in _complement_pairs(table, resid_mask)
-    ]
+    pairs = _complement_pairs(table, resid_mask)
+    if not swap_pairs:
+        pairs = pairs[:, ::-1]
 
-    p1_mask = table.union_mask([a for a, _ in pairs])
-    p2_mask = table.union_mask([b for _, b in pairs])
+    p1_mask = table.union_mask(pairs[:, 0])
+    p2_mask = table.union_mask(pairs[:, 1])
     if (p1_mask & p2_mask).any():
         raise InvariantError("the two pair halves must not meet")
     if not ((p1_mask | p2_mask) == resid_mask).all():
@@ -242,7 +240,7 @@ def build_even_m(m: int, *, swap_pairs: bool = False):
         b_preimage=tuple(b_vecs.tolist()),
         t_preimage=tuple(t_vecs.tolist()),
         g_preimage=tuple(g_vecs.tolist()),
-        residual_pairs=tuple(pairs),
+        residual_pairs=tuple(map(tuple, pairs.tolist())),
         p1_preimage=tuple(np.flatnonzero(p1_mask).tolist()),
         p2_preimage=tuple(np.flatnonzero(p2_mask).tolist()),
         s1_size=int(s1.sum()),
@@ -465,7 +463,7 @@ def build_sqrt_complement(m: int, overrides=None):
     pairs = _complement_pairs(table, resid_mask)
 
     if overrides is None:
-        selected = [ell for ell, _ in pairs]
+        picked = np.broadcast_to([True, False], pairs.shape)
         overrides_used = None
     else:
         overrides = tuple(overrides) if np.iterable(overrides) else overrides
@@ -475,20 +473,18 @@ def build_sqrt_complement(m: int, overrides=None):
         repeated = sorted({a for a, b in zip(overrides_used, overrides_used[1:]) if a == b})
         if repeated:
             raise SelectionError(f"overrides {repeated} are named more than once")
-        chosen = set(overrides_used)
-        pair_union = {x for pr in pairs for x in pr}
-        if not chosen <= pair_union:
+        stray = np.setdiff1d(overrides_used, pairs)
+        if stray.size:
+            raise SelectionError(f"overrides {stray.tolist()} are not residual pair leaders")
+        picked = np.isin(pairs, overrides_used)
+        bad = np.flatnonzero(picked.sum(axis=1) != 1)
+        if bad.size:
+            a, b = pairs[bad[0]].tolist()
+            hits = pairs[bad[0]][picked[bad[0]]].tolist()
             raise SelectionError(
-                f"overrides {sorted(chosen - pair_union)} are not residual pair leaders"
+                f"pair ({a}, {b}) needs exactly one representative, got {hits or 'none'}"
             )
-        selected = []
-        for a, b in pairs:
-            hits = [x for x in (a, b) if x in chosen]
-            if len(hits) != 1:
-                raise SelectionError(
-                    f"pair ({a}, {b}) needs exactly one representative, got {hits or 'none'}"
-                )
-            selected.append(hits[0])
+    selected = pairs[picked]
 
     mask = t_mask | table.union_mask(selected)
     z = DefiningSet.from_mask(
@@ -508,8 +504,8 @@ def build_sqrt_complement(m: int, overrides=None):
         block_top=block_top,
         t_leaders=t_leaders,
         neg_t_leaders=neg_t_leaders,
-        residual_pairs=tuple(pairs),
-        selected_leaders=tuple(selected),
+        residual_pairs=tuple(map(tuple, pairs.tolist())),
+        selected_leaders=tuple(selected.tolist()),
         overrides=overrides_used,
     )
     return z, audit

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import InvariantError, _int_array, _is_integer, _prime_factors, check_field_degree
+from .gf2 import (InvariantError, _int_array, _is_int, _is_integer, _prime_factors,
+                  check_field_degree)
 
 BitVector = tuple[int, ...]
 
@@ -74,7 +75,15 @@ class CosetTable:
     def leaders_in(self, where: "slice | list[int] | np.ndarray") -> tuple[int, ...]:
         """Ascending leaders, each named once, of the cosets met by the
         residues that a slice, an index array (repeats allowed) or a
-        boolean mask over Z_n selects."""
+        boolean mask over Z_n selects.  An index outside [0, n) or one that
+        is not an integer raises ``ValueError``."""
+        if not isinstance(where, slice):
+            where = np.asarray(where)
+            if where.dtype != bool or where.shape != (self.n,):
+                where = _int_array(where)
+                bad = (where < 0) | (where >= self.n)
+                if bad.any():
+                    raise ValueError(f"residue {int(where[bad][0])} out of range for modulus {self.n}")
         return tuple(np.unique(self.leader_of[where]).tolist())
 
     def union_mask(self, leaders: "list[int] | tuple[int, ...] | np.ndarray") -> np.ndarray:
@@ -214,7 +223,7 @@ def classify_by_size(table: CosetTable, p1: int, p2: int) -> dict[int, tuple[int
     count would mean the table (or the theory) is broken, so it raises
     :class:`InvariantError`.
     """
-    if not (_is_prime(p1) and _is_prime(p2) and p1 < p2):
+    if not (_is_int(p1) and _is_int(p2) and _is_prime(p1) and _is_prime(p2) and p1 < p2):
         raise ValueError(f"need primes p1 < p2, got ({p1}, {p2})")
     if table.m != p1 * p2:
         raise ValueError(f"table has m={table.m}, expected p1*p2={p1 * p2}")

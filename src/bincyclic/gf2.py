@@ -147,6 +147,8 @@ def poly_from_hex(s: str) -> BinaryPolynomial:
 
 def poly_pretty(a: BinaryPolynomial) -> str:
     """Human form, ascending powers: ``1 + x + x^3``."""
+    if a < 0:
+        raise ValueError("negative value is not a polynomial encoding")
     if a == 0:
         return "0"
     terms = []

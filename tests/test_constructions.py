@@ -350,6 +350,126 @@ class TestGreedySelect:
         assert _walked_greedy_select(table, **keywords)[4] == chosen_full
 
 
+def _scanned_pairs(table, mask):
+    """The complement pairing as an ascending scan: each leader not yet
+    paired takes the leader of its negation; the message if one cannot."""
+    leaders = sorted(set(table.leader_of[mask].tolist()))
+    pairs, seen = [], set()
+    for ell in leaders:
+        if ell in seen:
+            continue
+        partner = int(table.leader_of[table.n - ell])
+        if partner not in leaders or partner == ell:
+            return f"coset {ell} has no distinct complement partner"
+        seen.update((ell, partner))
+        pairs.append((ell, partner))
+    return pairs
+
+
+def _walked_sqrt_selection(pairs, overrides):
+    """The sqrt builder's choice of one leader per pair as a walk over
+    Python sets, the reference for its whole-array selection: the
+    selected leaders in pair order, or the ``SelectionError`` message."""
+    if overrides is None:
+        return [ell for ell, _ in pairs]
+    chosen = set(overrides)
+    pair_union = {x for pr in pairs for x in pr}
+    if not chosen <= pair_union:
+        return f"overrides {sorted(chosen - pair_union)} are not residual pair leaders"
+    selected = []
+    for a, b in pairs:
+        hits = [x for x in (a, b) if x in chosen]
+        if len(hits) != 1:
+            return f"pair ({a}, {b}) needs exactly one representative, got {hits or 'none'}"
+        selected.append(hits[0])
+    return selected
+
+
+def _spy_on_pairs(monkeypatch):
+    """Record ``(table, resid_mask, pairs)`` for each ``_complement_pairs`` call."""
+    seen = []
+
+    def spy(table, resid_mask):
+        pairs = _complement_pairs(table, resid_mask)
+        seen.append((table, resid_mask.copy(), pairs))
+        return pairs
+
+    monkeypatch.setattr(constructions, "_complement_pairs", spy)
+    return seen
+
+
+class TestPairSelection:
+    @pytest.mark.parametrize("m,overrides", [(m, None) for m in (5, 7, 9, 11, 13)]
+                             + [(7, (21, 27)), (7, (19, 43))])
+    def test_sqrt_matches_the_walk_over_pairs(self, m, overrides, monkeypatch):
+        seen = _spy_on_pairs(monkeypatch)
+        z, audit = build_sqrt_complement(m, overrides)
+        [(table, resid_mask, pairs)] = seen
+        walked = _scanned_pairs(table, resid_mask)
+        selected = _walked_sqrt_selection(walked, overrides)
+        assert pairs.shape == (len(walked), 2)
+        assert audit.residual_pairs == tuple(walked)
+        assert audit.selected_leaders == tuple(selected)
+        assert all(type(v) is int for pair in audit.residual_pairs for v in pair)
+        assert all(type(v) is int for v in audit.selected_leaders)
+        expected = table.union_mask(list(audit.t_leaders) + selected)
+        assert tuple(z) == tuple(np.flatnonzero(expected).tolist())
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 14])
+    def test_even_m_matches_the_walk_over_pairs(self, m, swap, monkeypatch):
+        seen = _spy_on_pairs(monkeypatch)
+        z1, z2, audit = build_even_m(m, swap_pairs=swap)
+        [(table, resid_mask, pairs)] = seen
+        walked = _scanned_pairs(table, resid_mask)
+        oriented = [(small, big) if swap else (big, small) for small, big in walked]
+        p1_mask = table.union_mask([a for a, _ in oriented])
+        p2_mask = table.union_mask([b for _, b in oriented])
+        assert pairs.shape == (len(walked), 2)
+        assert audit.residual_pairs == tuple(oriented)
+        assert all(type(v) is int for pair in audit.residual_pairs for v in pair)
+        assert audit.p1_preimage == tuple(np.flatnonzero(p1_mask).tolist())
+        assert audit.p2_preimage == tuple(np.flatnonzero(p2_mask).tolist())
+        # inside the residual layer, each half is exactly its pair half
+        resid = set(np.flatnonzero(resid_mask).tolist())
+        assert z1.as_set() & resid == set(audit.p1_preimage)
+        assert z2.as_set() & resid == set(audit.p2_preimage)
+
+    @pytest.mark.parametrize("m", [7, 9])
+    def test_override_errors_match_the_walk_over_pairs(self, m, monkeypatch):
+        # random override lists: some one leader per pair, some missing a
+        # pair, taking both sides of one, or naming a leader outside them
+        seen = _spy_on_pairs(monkeypatch)
+        build_sqrt_complement(m)
+        [(table, resid_mask, _)] = seen
+        walked = _scanned_pairs(table, resid_mask)
+        members = [x for pair in walked for x in pair]
+        rng = np.random.default_rng(m)
+        outcomes = set()
+        for _ in range(60):
+            picks = [pair[rng.integers(2)] for pair in walked]
+            roll = rng.random()
+            if roll < 0.25:
+                picks.pop(rng.integers(len(picks)))
+            elif roll < 0.5:
+                picks.append(members[rng.integers(len(members))])
+                picks = sorted(set(picks))
+            elif roll < 0.65:
+                picks.append(int(rng.choice(table.leaders)))
+                picks = sorted(set(picks))
+            overrides = tuple(int(x) for x in rng.permutation(picks))
+            expected = _walked_sqrt_selection(walked, overrides)
+            if isinstance(expected, str):
+                outcomes.add("stray" if "not residual" in expected
+                             else "none" if expected.endswith("none") else "both")
+                with pytest.raises(SelectionError, match=f"^{re.escape(expected)}$"):
+                    build_sqrt_complement(m, overrides)
+            else:
+                outcomes.add("ok")
+                assert build_sqrt_complement(m, overrides)[1].selected_leaders == tuple(expected)
+        assert outcomes == {"ok", "stray", "none", "both"}
+
+
 class TestSqrtComplement:
     def test_m5_default(self):
         z, audit = build_sqrt_complement(5)
@@ -493,22 +613,6 @@ class TestComplementPairs:
         with pytest.raises(InvariantError, match="^coset 3 has"):
             _complement_pairs(table, mask)
 
-    @staticmethod
-    def _scan(table, mask):
-        """The pairing as an ascending scan: each leader not yet paired
-        takes the leader of its negation; the message if one cannot."""
-        leaders = sorted(set(table.leader_of[mask].tolist()))
-        pairs, seen = [], set()
-        for ell in leaders:
-            if ell in seen:
-                continue
-            partner = int(table.leader_of[table.n - ell])
-            if partner not in leaders or partner == ell:
-                return f"coset {ell} has no distinct complement partner"
-            seen.update((ell, partner))
-            pairs.append((ell, partner))
-        return pairs
-
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
     def test_matches_an_ascending_scan(self, m):
         rng = np.random.default_rng(m)
@@ -519,12 +623,12 @@ class TestComplementPairs:
             mask = table.union_mask(chosen)
             if rng.random() < 0.5:
                 mask |= negated_mask(mask)  # closed under negation, so pairs can form
-            expected = self._scan(table, mask)
+            expected = _scanned_pairs(table, mask)
             if isinstance(expected, str):
                 with pytest.raises(InvariantError, match=f"^{expected}$"):
                     _complement_pairs(table, mask)
             else:
-                assert _complement_pairs(table, mask) == expected
+                assert _complement_pairs(table, mask).tolist() == [list(p) for p in expected]
 
 
 class TestOrigins:

@@ -1,6 +1,7 @@
 """2-cyclotomic cosets: tables, permutation lemma, size/weight classes."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -168,6 +169,21 @@ class TestBuildTable:
         mask[7] = True  # one member of C_7 alone meets it
         assert table.leaders_in(mask) == (7, 9, 21)
         assert all(type(v) is int for v in table.leaders_in(mask))
+        assert table.leaders_in([7, 14, 9]) == (7, 9)
+        assert table.leaders_in(np.array([62], dtype=np.uint8)) == (31,)
+        assert table.leaders_in([]) == ()
+
+    # -1 used to wrap to residue 62 (-> 31); 63 and 1.5 raised a bare IndexError
+    @pytest.mark.parametrize("where, message", [
+        ([-1], "residue -1 out of range for modulus 63"),
+        ([5, 63], "residue 63 out of range for modulus 63"),
+        ([1.5], "expected integers, got values of dtype float64"),
+        (["3"], "expected integers, got values of dtype <U1"),
+        ([True, False], "expected integers, got values of dtype bool"),
+    ], ids=["negative", "past-n", "float", "string", "short-mask"])
+    def test_leaders_in_refuses_bad_indices(self, where, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_table(6).leaders_in(where)
 
     @pytest.mark.parametrize("m", range(2, 15))
     def test_every_leader_is_the_orbit_minimum(self, m):
@@ -311,7 +327,8 @@ class TestClassification:
         assert sizes[5] == (1057, 3171, 5285, 7399, 11627, 15855)
         assert len(sizes[15]) == 2182
 
-    @pytest.mark.parametrize("p1, p2", [(3, 2), (1, 6)])
+    # 2.0 was taken as the prime 2 by float trial division
+    @pytest.mark.parametrize("p1, p2", [(3, 2), (1, 6), (2.0, 3)])
     def test_rejects_pairs_that_are_not_ascending_primes(self, p1, p2):
         with pytest.raises(ValueError, match="need primes p1 < p2"):
             classify_by_size(build_table(6), p1, p2)

@@ -39,8 +39,9 @@ a slow fixture and a slow fixture named by its exact id), the ``--help``
 text of the top-level, ``analyze`` and ``verify-paper`` parsers and of
 all ten family parsers (``construct`` and ``export`` for each family),
 and the error cases with their exit codes (among them a set that is not
-closed under doubling, an ``odd-pq`` pair past the table cap and a
-negative search seed).  A command that ends in
+closed under doubling, an ``odd-pq`` pair past the table cap, a
+negative search seed and ``sqrt --choose`` lists that name a stray
+leader, repeat one, leave a pair without one or take both of a pair).  A command that ends in
 ``SystemExit`` (``--help``) is recorded with the exit code it carried, and one that
 raises any other exception as ``raised`` and the exception's type, so the
 rest are still recorded; help text is wrapped at ``COLUMNS=80`` whatever
@@ -205,6 +206,8 @@ ERRORS = (
     ["construct", "sqrt", "--m", "7", "--choose", "21,21,27"],
     ["analyze", SCRATCH + "/unclosed.txt", "--m", "4"],
     ["construct", "odd-pq", "--p1", "3", "--p2", "11", "--json"],
+    ["construct", "sqrt", "--m", "7", "--choose", "27"],
+    ["construct", "sqrt", "--m", "7", "--choose", "19,21,27"],
 )
 
 
