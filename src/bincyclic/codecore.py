@@ -152,6 +152,11 @@ def assemble(zset: DefiningSet, *, ctx: Optional[FieldContext] = None) -> Cyclic
     return CyclicCode(n=n, m=m, defining_set=zset, generator=g, parity=h, ctx=ctx)
 
 
+#: Elements of Z per block when :func:`_run_bounds` scans its cyclic steps:
+#: 2^16, as :func:`~bincyclic.cosets.orbit_minima` uses.
+_RUN_BLOCK = 1 << 16
+
+
 def _run_bounds(zset: DefiningSet) -> tuple[tuple[int, Optional[int]], tuple[int, int]]:
     """``(delta, start)`` of the longest run of Z and of its dual's, from
     the cyclic steps s_i = z_(i+1) - z_i between Z's ascending elements
@@ -160,28 +165,48 @@ def _run_bounds(zset: DefiningSet) -> tuple[tuple[int, Optional[int]], tuple[int
     -(Z_n \\ Z) that starts at 1 - z_(i+1).  Ties go to the smallest
     start.  The empty Z has no run, ``(1, None)``, and its dual is the
     zero code, whose vacuous ``(n + 1, 0)`` is one run covering the whole
-    circle.  Raises :class:`DegenerateCodeError` for Z = Z_n."""
+    circle.  Raises :class:`DegenerateCodeError` for Z = Z_n.
+
+    The steps are scanned ``_RUN_BLOCK`` elements at a time, so the scan
+    holds a few arrays of one block, never one as long as Z.  Across
+    blocks it carries the widest step with its smallest dual start, the
+    longest run so far with its smallest start, and the first and the
+    latest run end; the run that wraps from the latest end round to the
+    first is measured last."""
     n, z, k = zset.n, zset.elements, len(zset)
     if k == n:
         raise DegenerateCodeError("defining set is all of Z_n")
     if k == 0:
         return (1, None), (n + 1, 0)
-    steps = np.empty_like(z)
-    np.subtract(z[1:], z[:-1], out=steps[:-1])
-    steps[-1] = z[0] + n - z[-1]
-    widest = int(steps.max())
-    after = (np.flatnonzero(steps == widest) + 1) % k  # z[after] closes a widest step
-    dual_start = int(((1 - z[after]) % n).min())
-    # Z's run lengths: cyclic distances in element indices between run ends
-    ends = np.flatnonzero(steps > 1)
-    runs = steps[: len(ends)]
-    np.subtract(ends[1:], ends[:-1], out=runs[:-1])
-    runs[-1] = ends[0] + k - ends[-1]
-    longest = int(runs.max())
-    if not (1 <= longest < n and 1 <= widest - 1 < n):
-        raise InvariantError(f"run lengths {longest}, {widest - 1} outside [1, {n})")
-    start = int(z[(ends[runs == longest] + 1) % k].min())
-    return (longest + 1, start), (widest, dual_start)
+    # (length, -start) pairs: max() keeps the longest, then the smallest start
+    widest = longest = (0, 0)
+    first_end = last_end = None  # element indices of Z's first and latest run end
+    for lo in range(0, k, _RUN_BLOCK):
+        hi = min(lo + _RUN_BLOCK, k)
+        after = z[lo + 1 : hi + 1]  # z_(i+1) for the block's steps s_i
+        if hi == k:
+            after = np.append(after, z[0] + n)
+        steps = after - z[lo:hi]
+        step = int(steps.max())
+        widest = max(widest, (step, -int(((1 - after[steps == step]) % n).min())))
+        ends = np.flatnonzero(steps > 1)
+        if not ends.size:
+            continue
+        ends += lo
+        if first_end is None:
+            first_end = int(ends[0])
+        else:
+            ends = np.concatenate(([last_end], ends))
+        runs = np.diff(ends)  # Z's runs between consecutive ends, in element indices
+        if runs.size:
+            run = int(runs.max())
+            longest = max(longest, (run, -int(z[ends[:-1][runs == run] + 1].min())))
+        last_end = int(ends[-1])
+    longest = max(longest, (first_end + k - last_end, -int(z[(last_end + 1) % k])))
+    (run, start), (step, dual_start) = longest, widest
+    if not (1 <= run < n and 1 <= step - 1 < n):
+        raise InvariantError(f"run lengths {run}, {step - 1} outside [1, {n})")
+    return (run + 1, -start), (step, -dual_start)
 
 
 def bch_run(zset: DefiningSet) -> tuple[int, Optional[int]]:
@@ -190,7 +215,8 @@ def bch_run(zset: DefiningSet) -> tuple[int, Optional[int]]:
     Returns ``(delta, start)`` where delta - 1 is the run length and
     ``start`` is the smallest starting residue achieving it (None when
     Z is empty).  Any cyclic code with Z in its defining set has minimum
-    distance >= delta.  It is read from Z's elements, with no mask.
+    distance >= delta.  It is read from Z's elements, with no mask, one
+    block of 2^16 cyclic steps at a time (:func:`_run_bounds`).
     """
     return _run_bounds(zset)[0]
 
@@ -208,7 +234,9 @@ def describe(zset: DefiningSet, *, generator: Optional[int] = None) -> dict:
 
     The dual set -(Z_n \\ Z) is not built: it has n - |Z| residues, and
     one scan of Z's cyclic steps gives both run bounds, the empty set's
-    included.
+    included.  The scan reads the steps one block of 2^16 elements at a
+    time, so beside the set it holds a few block-long arrays (about
+    1.6 MiB), never an array as long as Z.
     """
     n = zset.n
     dual_size = n - len(zset)

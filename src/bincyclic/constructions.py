@@ -332,6 +332,10 @@ def build_two_prime(p: int):
     the top 2^e - 2 residues (e = floor(log2 2p) + 1), which the dual
     bound needs free.  Selection is deterministic: ascending leaders,
     forbidden ones skipped.  Returns ``(Z, audit)`` with |Z| = 2^(m-1) - 1.
+
+    The coset table and its size classes are released once the cosets are
+    chosen, before Z's elements are made, so the two never coexist; the
+    audit keeps tuples of its own.
     """
     if not _is_int(p) or p % 2 == 0 or not _is_prime(p) or 2 * p > 24:
         raise ValueError(f"need an odd prime p with 2p <= 24, got {p!r}")
@@ -355,6 +359,7 @@ def build_two_prime(p: int):
         tail_len=2**e - 2,
         direct_allotment=lambda sigma0: m_main - 2 * sigma0,
     )
+    del table, by_size  # freed before Z's int64 elements are made
     z = DefiningSet.from_mask(n, mask, {"construction": "two-prime", "p": p, "m": m})
     _check_size(z, 2 ** (m - 1) - 1)
 
@@ -375,7 +380,8 @@ def build_odd_pq(p1: int, p2: int):
     """Defining set for m = p1*p2, odd primes p1 < p2, m <= 24.
 
     Mirror of :func:`build_two_prime` with three coset-size classes; 0 is
-    NOT included.  Returns ``(Z, audit)`` with |Z| = 2^(m-1) - 1.
+    NOT included.  Returns ``(Z, audit)`` with |Z| = 2^(m-1) - 1.  As
+    there, the coset table is released before Z's elements are made.
     """
     if not (_is_int(p1) and _is_int(p2) and p1 % 2 and p2 % 2 and _is_prime(p1)
             and _is_prime(p2) and p1 < p2):
@@ -411,6 +417,7 @@ def build_odd_pq(p1: int, p2: int):
         tail_len=2**e - 2,
         direct_allotment=lambda sigma0: mid_total - p1 * sigma0,
     )
+    del table, by_size  # freed before Z's int64 elements are made
     z = DefiningSet.from_mask(n, mask, {"construction": "odd-pq", "p1": p1, "p2": p2, "m": m})
     _check_size(z, 2 ** (m - 1) - 1)
     if mask[0]:

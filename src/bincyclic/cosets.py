@@ -202,9 +202,12 @@ def rho(v: BitVector) -> BitVector:
 
 
 def is_union_of_cosets(S, n: int) -> bool:
-    """True iff ``S`` is closed under doubling mod ``n``."""
+    """True iff ``S`` is closed under doubling mod ``n``.  A member that is
+    not an integer (a float, bool or string) raises ``ValueError``."""
     members = set(S)
     for x in members:
+        if not _is_integer(x):
+            raise ValueError(f"element {x!r} is not an integer")
         if not 0 <= x < n:
             raise ValueError(f"element {x} outside Z_{n}")
     return all((2 * x) % n in members for x in members)

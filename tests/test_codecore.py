@@ -30,6 +30,7 @@ from bincyclic.codecore import (
 from bincyclic.constructions import (
     DefiningSet,
     build_even_m,
+    build_odd_pq,
     build_sqrt_complement,
     build_two_prime,
 )
@@ -421,6 +422,60 @@ class TestBchRunFromGaps:
                 bch_run(_raw_set(np.ones(n, dtype=bool)))
 
 
+def _whole_array_run_bounds(zset):
+    """The earlier ``_run_bounds``, kept as the oracle: every cyclic step of
+    Z and every run end in two arrays as long as Z."""
+    n, z, k = zset.n, zset.elements, len(zset)
+    if k == n:
+        raise DegenerateCodeError("defining set is all of Z_n")
+    if k == 0:
+        return (1, None), (n + 1, 0)
+    steps = np.empty_like(z)
+    np.subtract(z[1:], z[:-1], out=steps[:-1])
+    steps[-1] = z[0] + n - z[-1]
+    widest = int(steps.max())
+    after = (np.flatnonzero(steps == widest) + 1) % k
+    dual_start = int(((1 - z[after]) % n).min())
+    ends = np.flatnonzero(steps > 1)
+    runs = steps[: len(ends)]
+    np.subtract(ends[1:], ends[:-1], out=runs[:-1])
+    runs[-1] = ends[0] + k - ends[-1]
+    longest = int(runs.max())
+    start = int(z[(ends[runs == longest] + 1) % k].min())
+    return (longest + 1, start), (widest, dual_start)
+
+
+class TestRunBoundsInBlocks:
+    """Small blocks make runs, the widest step and ties straddle block edges."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_random_closed_sets_match_the_whole_array_scan(self, monkeypatch, block):
+        monkeypatch.setattr(codecore, "_RUN_BLOCK", block)
+        for m in range(2, 13):
+            for z in _random_proper_sets(m, 12, seed=900 + m):
+                assert codecore._run_bounds(z) == _whole_array_run_bounds(z), sorted(z.as_set())
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+    def test_edge_cases_match_the_whole_array_scan(self, monkeypatch, block):
+        monkeypatch.setattr(codecore, "_RUN_BLOCK", block)
+        table = build_table(6)
+        n = table.n
+        sets = [
+            _set(15, (7, 11, 13, 14)),  # the widest step wraps: 14 -> 7 + 15
+            _set(63, (0, 21, 42)),  # two widest steps tie, one of them the wrap
+            _set(15, (0,)),  # one element
+            _set(15, ()),
+        ]
+        # Z_n minus one coset, for each coset
+        sets += [DefiningSet.from_mask(n, ~table.union_mask([lead])) for lead in table.leaders.tolist()]
+        for z in sets:
+            assert codecore._run_bounds(z) == _whole_array_run_bounds(z), sorted(z.as_set())
+        assert codecore._run_bounds(sets[0]) == ((3, 13), (8, 9))
+        assert codecore._run_bounds(sets[2]) == ((2, 0), (15, 1))
+        with pytest.raises(DegenerateCodeError):
+            codecore._run_bounds(DefiningSet.from_mask(7, np.ones(7, dtype=bool)))
+
+
 class TestDescribe:
     def test_plain_report(self):
         report = describe(_set(15, EXAMPLE1_Z1))
@@ -519,10 +574,11 @@ class TestDescribe:
 
     @staticmethod
     def _peak_in_arrays_of_z(run):
-        # one int64 array of Z's cyclic steps, reused for the runs' lengths,
-        # the run ends and a boolean or two over Z; no mask over Z_n and no
-        # array of the dual's residues
-        z, _, _ = build_even_m(18)
+        # Z's cyclic steps are scanned 2^16 elements at a time: a few int64
+        # arrays of one block, about 1.6 MiB, against |Z| = 2^20 - 1 int64
+        # elements (8 MiB); no mask over Z_n and no array of the dual's
+        # residues.  The whole-array scan read 1.28 arrays of |Z|.
+        z, _ = build_odd_pq(3, 7)
         tracemalloc.start()
         try:
             run(z)
@@ -533,11 +589,11 @@ class TestDescribe:
 
     def test_describe_makes_no_array_as_long_as_z_n(self):
         peak = self._peak_in_arrays_of_z(describe)
-        assert peak < 2, f"peak {peak:.2f} arrays of |Z|"
+        assert peak < 0.5, f"peak {peak:.2f} arrays of |Z|"
 
     def test_bch_run_makes_no_array_as_long_as_z_n(self):
         peak = self._peak_in_arrays_of_z(bch_run)
-        assert peak < 2, f"peak {peak:.2f} arrays of |Z|"
+        assert peak < 0.5, f"peak {peak:.2f} arrays of |Z|"
 
     def test_keys_in_envelope_order(self):
         # dict equality ignores order; the JSON envelope does not

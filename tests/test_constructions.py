@@ -279,6 +279,20 @@ class TestOddPq:
         assert bch_run(z)[0] == 120285
         assert bch_run(dual_defining_set(z)) == (32, 0)
 
+    def test_peak_memory_per_residue(self):
+        # the table (a 4-byte leader per residue) and the size-class tuples
+        # are freed before Z's int64 elements are made, so the peak sits in
+        # the selection, not beside the elements (12.8 bytes per residue
+        # while the table outlived the selection)
+        build_odd_pq(3, 5)  # imports and first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            z, _ = build_odd_pq(3, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * z.n, f"peak {peak / z.n:.1f} bytes per residue"
+
     @pytest.mark.parametrize("pair", [(3, 3), (2, 5), (5, 3), (3, 9),
                                       (3, 5.0), (np.int64(3), 5), (True, 5), (3, "5")])
     def test_rejects_bad_pairs(self, pair):

@@ -463,3 +463,12 @@ class TestIsUnionOfCosets:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             is_union_of_cosets({63}, 63)
+
+    @pytest.mark.parametrize("members", [
+        [1.5, 3.0, 6.0, 12.0, 9.0],  # the float orbit of 3.0 closes mod 15
+        [True],  # not read as 1
+        ["3", 6, 12, 9],
+    ])
+    def test_rejects_members_that_are_not_integers(self, members):
+        with pytest.raises(ValueError, match="is not an integer"):
+            is_union_of_cosets(members, 15)
